@@ -68,7 +68,7 @@ main()
                 "run#2", "overall");
 
     // Program-level requirement keys from the overall universe.
-    for (const auto &cu : overall.cuTable().all()) {
+    for (const auto &cu : overall.cus()) {
         for (ReqType t : {ReqType::Blocked, ReqType::Unblocking,
                           ReqType::Nop, ReqType::Blocking}) {
             std::string key = CoverageState::key(cu, t);

@@ -22,16 +22,19 @@
  * goroutine nodes are discovered at run time, the requirement universe
  * grows during testing — coverage percentage can therefore drop when
  * an execution uncovers new behaviour (the paper's fig. 6b, D1).
+ *
+ * Every requirement key is interned once per process to a dense id; a
+ * CoverageState is a bitset over ids. Key strings exist only at the
+ * edges (bitmapStr, restoreBitmap, tableStr, uncovered, isCovered,
+ * isRequired, uncoveredAtLoc), which order by key, so no id reaches an
+ * output.
  */
 
 #ifndef GOAT_ANALYSIS_COVERAGE_HH
 #define GOAT_ANALYSIS_COVERAGE_HH
 
 #include <cstdint>
-#include <map>
-#include <set>
 #include <string>
-#include <tuple>
 #include <vector>
 
 #include "staticmodel/cutable.hh"
@@ -53,37 +56,39 @@ enum class ReqType : uint8_t
 const char *reqTypeName(ReqType t);
 
 /**
+ * The requirement types Table I demands of every CU of @p kind, bit
+ * `1 << ReqType` each; 0 for select (cases are discovered at run
+ * time), wait and add.
+ */
+unsigned reqTemplate(staticmodel::CuKind kind);
+
+/**
  * Cumulative coverage state across testing iterations.
  *
  * Construct with the static model (scanner output) so uncovered static
  * requirements are visible from iteration zero; CUs observed only
- * dynamically are added on the fly.
+ * dynamically are added on the fly. A copy costs a few words.
  */
 class CoverageState
 {
   public:
-    explicit CoverageState(staticmodel::CuTable statics = {});
+    explicit CoverageState(const staticmodel::CuTable &statics = {});
 
     /** Fold one execution's trace into the coverage state. */
     void addEct(const trace::Ect &ect);
 
     /**
      * Like addEct(ect), but reusing a goroutine tree the caller already
-     * built for the same trace. The campaign worker folds every trace
-     * into both a per-iteration state and its worker-cumulative state;
-     * sharing one tree halves the tree builds on that hot path.
+     * built for the same trace (the engine builds one per run).
      */
     void addEct(const trace::Ect &ect, const GoroutineTree &tree);
 
     /**
-     * Union @p other into this state (the campaign merge step): CUs
-     * absent from this table are added, requirement and covered sets
-     * union, non-blocking-select observations union, and discovered
-     * select-case counts take the maximum. Because every component is
-     * a set union (or max), merging is commutative and associative —
-     * folding per-iteration states in any grouping yields the same
-     * final state, which is what makes merged campaign coverage
-     * independent of the worker count.
+     * Union @p other into this state (the campaign merge step): a
+     * word-wise OR, so merging is commutative and associative — folding
+     * per-iteration states in any grouping yields the same final
+     * state, which is what makes merged campaign coverage independent
+     * of the worker count.
      */
     void mergeFrom(const CoverageState &other);
 
@@ -97,26 +102,22 @@ class CoverageState
 
     /**
      * Union a bitmapStr() serialization into this state (checkpoint
-     * restore; supervised-shard digest fold). Only the requirement
-     * universe and covered set are rebuilt — exactly the components
-     * every merged-state consumer (percent, counts, bitmapStr,
-     * saturation sampling, further mergeFrom folds) reads; the CU
-     * table repopulates as fresh iterations merge in. Returns false
-     * on a malformed line.
+     * restore; supervised-shard digest fold). Returns false on a
+     * malformed line; the lines before it are folded.
      */
     bool restoreBitmap(const std::string &bitmap);
 
     /** Number of requirement instances known so far. */
-    size_t totalRequirements() const { return required_.size(); }
+    size_t totalRequirements() const { return required_.count(~0ull); }
 
     /** Number of requirement instances covered so far. */
-    size_t coveredCount() const { return covered_.size(); }
+    size_t coveredCount() const { return covered_.count(~0ull); }
 
     /**
-     * Covered requirement instances demanding behaviour @p t (the
-     * requirement key's trailing token). Drives the per-class series
-     * of the coverage-saturation timeline (obs/saturation.hh); a
-     * linear scan, so call only from cold (merge/report) paths.
+     * Covered requirement instances demanding behaviour @p t, both
+     * granularities. Drives the per-class series of the coverage-
+     * saturation timeline (obs/saturation.hh); a popcount over the
+     * state's few covered words, no scan of keys.
      */
     size_t coveredCountOfType(ReqType t) const;
 
@@ -127,18 +128,10 @@ class CoverageState
     std::vector<std::string> uncovered() const;
 
     /** True when the given requirement key is covered. */
-    bool
-    isCovered(const std::string &key) const
-    {
-        return covered_.count(key) != 0;
-    }
+    bool isCovered(const std::string &key) const;
 
     /** True when the given requirement key exists. */
-    bool
-    isRequired(const std::string &key) const
-    {
-        return required_.count(key) != 0;
-    }
+    bool isRequired(const std::string &key) const;
 
     /**
      * Requirement key syntax (program level):
@@ -154,8 +147,8 @@ class CoverageState
      */
     size_t uncoveredAtLoc(const SourceLoc &loc) const;
 
-    /** The (possibly dynamically extended) CU table. */
-    const staticmodel::CuTable &cuTable() const { return table_; }
+    /** The CUs carrying requirements, sorted by (file, line, kind). */
+    std::vector<staticmodel::Cu> cus() const;
 
     /**
      * Printable per-CU coverage table in the style of the paper's
@@ -164,53 +157,59 @@ class CoverageState
     std::string tableStr() const;
 
   private:
-    /** Register a requirement without covering it. */
-    void require(const std::string &k) { required_.insert(k); }
-
-    /** Recount coveredOfType_ from covered_ (cold paths only). */
-    void rebuildTypeCounts();
-
     /**
-     * Register and mark covered (program level + node level).
-     * @p node_key is a pointer into the caller's GoroutineTree
-     * (nullptr for system/scheduler context — program level only).
+     * A set of ids stored as the word window [lo_, lo_ + w_.size()) of
+     * the process-wide id space; a kernel's ids are interned close
+     * together, so the window stays small in a many-kernel process.
      */
-    void cover(const staticmodel::Cu &cu, ReqType type, int case_idx,
-               const std::string *node_key);
+    class Bits
+    {
+      public:
+        bool test(uint32_t i) const { return (word(i >> 6) >> (i & 63)) & 1; }
 
-    /** Instantiate the template set of @p cu at a granularity. */
-    void instantiate(const staticmodel::Cu &cu, const std::string &prefix,
-                     int case_idx = -1);
+        /** The four bits of group @p g: ids 4g .. 4g+3. */
+        unsigned
+        nibble(uint32_t g) const
+        {
+            return static_cast<unsigned>(word(g >> 4) >> (g & 15) * 4) & 15;
+        }
 
-    /** Look up (or dynamically register) the CU at @p loc. */
-    staticmodel::Cu resolveCu(const SourceLoc &loc,
-                              staticmodel::CuKind fallback);
+        /** OR @p mask in at bit @p i (within one word). */
+        void set(uint32_t i, unsigned mask = 1);
+        void orFrom(const Bits &o);
+        /** Members among the bits set in every word of @p lanes. */
+        size_t count(uint64_t lanes) const;
+        template <class F> void forEach(F &&f) const;
 
-    staticmodel::CuTable table_;
-    // Transparent comparators: hot-path probes use buffer-built keys
-    // without constructing fresh std::string arguments.
-    std::set<std::string, std::less<>> required_;
-    std::set<std::string, std::less<>> covered_;
-    /** Select CUs observed to carry a default case. */
-    std::set<std::string, std::less<>> nbSelects_;
-    /** Discovered case counts per select CU key. */
-    std::map<std::string, int, std::less<>> selectCases_;
-    /** Covered-key counts by trailing ReqType token (kept in sync by
-     *  cover(); rebuilt wholesale in mergeFrom()). */
-    size_t coveredOfType_[4] = {};
+      private:
+        uint64_t
+        word(uint32_t w) const
+        {
+            return w >= lo_ && w - lo_ < w_.size() ? w_[w - lo_] : 0;
+        }
 
-    // ------------------------------------------------------------------
-    // Hot-path machinery (see coverage.cc). resolveCu() is called once
-    // per trace event; memoizing on the event's interned file pointer
-    // replaces a linear CU-table scan with one map probe. The string
-    // buffers let cover() build requirement keys without allocating.
-    // ------------------------------------------------------------------
-    using CuCacheKey = std::tuple<const void *, uint32_t, uint8_t>;
-    std::map<CuCacheKey, staticmodel::Cu> cuCache_;
-    std::string keyBuf_;
-    std::string nodeBuf_;
-    std::string instBuf_;
-    std::string locBuf_;
+        uint32_t lo_ = 0;
+        std::vector<uint64_t> w_;
+    };
+
+    /** A resolved CU and its interned program-level group. */
+    struct CuRef
+    {
+        uint32_t group;
+        staticmodel::Cu cu;
+    };
+
+    CuRef resolveCu(const SourceLoc &loc, staticmodel::CuKind fallback);
+    /** Cover at program level and at goroutine node @p node (~0u: none). */
+    void cover(const CuRef &cu, ReqType type, int case_idx, uint32_t node);
+    void mark(uint32_t group, ReqType t); ///< Require and cover.
+    /** Required ids (or the uncovered ones) in key order; the caller
+     *  holds the requirement table's lock. */
+    std::vector<uint32_t> sortedIds(bool uncovered_only) const;
+
+    /** Requirement ids: group * 4 + ReqType. */
+    Bits required_;
+    Bits covered_;
 };
 
 } // namespace goat::analysis

@@ -50,9 +50,8 @@ struct SourceLoc
 
     /**
      * Final path component as a view into the interned file literal —
-     * the allocation-free form every hot-path comparison uses (the CU
-     * table is scanned once per trace event, so allocating compares
-     * dominate coverage measurement otherwise).
+     * the allocation-free form hot-path comparisons and coverage key
+     * building use.
      */
     std::string_view
     basenameView() const

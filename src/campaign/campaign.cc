@@ -101,8 +101,11 @@ ioFromRow(const obs::LedgerEntry &e)
 /**
  * Everything one worker records about one executed iteration. The
  * trace itself is dropped after analysis (except for the worker's
- * first bug, captured separately) — only the merge-relevant digest is
- * kept, so memory stays bounded over long campaigns.
+ * first bug, captured separately); this merge-relevant digest is kept
+ * instead. Every record is retained until the merge after the worker
+ * join (per checkpoint round), so memory grows linearly with the
+ * iterations of a round: about 3 KB per record, plus the coverage
+ * bitsets with -cov. Only the coverage part is freed as it folds.
  */
 struct IterRecord
 {
@@ -159,8 +162,9 @@ struct RaceCapture
 struct Worker
 {
     explicit Worker(const GoatConfig &cfg)
-        : localCov(cfg.staticModel)
     {
+        if (cfg.collectCoverage || cfg.coverageGuided)
+            localCov = CoverageState(cfg.staticModel);
     }
 
     int id = 0;
@@ -215,11 +219,10 @@ workerLoop(Shared &sh, Worker &w)
                              !sh.cfg.checkpointPath.empty() ||
                              !sh.cfg.resumePath.empty();
 
-    // Template for the per-iteration coverage states: instantiating
-    // the static requirement universe once and copying it per
-    // iteration is much cheaper than rebuilding it from the CU table
-    // every time.
-    const CoverageState covTemplate(cfg.staticModel);
+    // Template for the per-iteration coverage states: the static
+    // requirement universe, built once and copied per iteration.
+    const CoverageState covTemplate =
+        measure_cov ? CoverageState(cfg.staticModel) : CoverageState();
 
     // Bind this thread's metrics to the worker's private registry for
     // the whole loop (covers the scheduler's per-run flush too).
@@ -271,11 +274,12 @@ workerLoop(Shared &sh, Worker &w)
         }
 
         if (measure_cov) {
-            // The run's tree (built once for the deadlock check)
-            // serves both coverage folds.
+            // Fold the trace once, reusing the run's tree; the
+            // worker's cumulative state takes the result by union,
+            // which equals folding the trace into it directly.
             rec.cov = std::make_unique<CoverageState>(covTemplate);
             rec.cov->addEct(sr.ect, *sr.tree);
-            w.localCov.addEct(sr.ect, *sr.tree);
+            w.localCov.mergeFrom(*rec.cov);
             // The worker's cumulative coverage is a subset of the
             // merged coverage at this iteration, so reaching the
             // threshold locally proves the canonical cutoff is <= iter.
@@ -369,8 +373,9 @@ struct FoldState
     int timeouts = 0;
 
     explicit FoldState(const GoatConfig &cfg)
-        : merged(cfg.staticModel)
     {
+        if (cfg.collectCoverage || cfg.coverageGuided)
+            merged = CoverageState(cfg.staticModel);
     }
 };
 

@@ -153,8 +153,12 @@ runShardChild(const CampaignConfig &cfg,
 
     const bool measure_cov =
         ecfg.collectCoverage || ecfg.coverageGuided;
-    const analysis::CoverageState covTemplate(ecfg.staticModel);
-    analysis::CoverageState localCov(ecfg.staticModel);
+    const analysis::CoverageState covTemplate =
+        measure_cov ? analysis::CoverageState(ecfg.staticModel)
+                    : analysis::CoverageState();
+    const analysis::CoverageState localCov =
+        ecfg.coverageGuided ? analysis::CoverageState(ecfg.staticModel)
+                            : analysis::CoverageState();
 
     int wseq = start_wseq;
     for (int iter = start_iter; iter <= ecfg.maxIterations;

@@ -139,7 +139,7 @@ campaignIterationSeed(uint64_t base, int iter)
 SingleRun
 runCampaignIteration(const GoatConfig &cfg,
                      const std::function<void()> &program, int iter,
-                     analysis::CoverageState *guided_cov)
+                     const analysis::CoverageState *guided_cov)
 {
     uint64_t seed = mixSeed(cfg.seedBase, iter);
 
@@ -150,7 +150,14 @@ runCampaignIteration(const GoatConfig &cfg,
     // but never perturbs, leaving the schedule untouched.
     perturb::ScheduleRecorder recorder;
     perturb::YieldPerturber uniform(cfg.delayBound, seed);
-    perturb::GuidedPerturber guided(guided_cov, cfg.delayBound, seed);
+    // Only a coverage-guided policy reads the caller's cumulative
+    // state. A priority-only one (lint/MHP seeding) judges the other
+    // sites by the static model, so its schedule is a pure function of
+    // the iteration whatever the caller folded before — and therefore
+    // the same for any -jobs value.
+    perturb::GuidedPerturber guided(cfg.coverageGuided ? guided_cov : nullptr,
+                                    cfg.delayBound, seed);
+    guided.setStaticModel(&cfg.staticModel);
     if (!cfg.prioritySites.empty())
         guided.setPrioritySites(cfg.prioritySites);
     runtime::PerturbHook inner;

@@ -236,7 +236,7 @@ uint64_t campaignIterationSeed(uint64_t base, int iter);
 SingleRun runCampaignIteration(const GoatConfig &cfg,
                                const std::function<void()> &program,
                                int iter,
-                               analysis::CoverageState *guided_cov);
+                               const analysis::CoverageState *guided_cov);
 
 /**
  * Stamp the deferred ECT fingerprint fields (ect_hash, ect_events)

@@ -68,6 +68,19 @@ class GuidedPerturber
             priority_.insert(loc.str());
     }
 
+    /**
+     * Without a coverage state (a priority-only policy), judge the
+     * other sites by the static model @p statics (not owned): a site
+     * is hot when the model demands requirements there — exactly what
+     * a never-folded CoverageState(*statics) reports — so the policy
+     * stays a pure function of the seed.
+     */
+    void
+    setStaticModel(const staticmodel::CuTable *statics)
+    {
+        statics_ = statics;
+    }
+
     /** The goat.handler() decision. */
     bool
     shouldYield(staticmodel::CuKind kind, const SourceLoc &loc)
@@ -81,7 +94,8 @@ class GuidedPerturber
             detail::tally(&runtime::SchedTallies::guidedHot);
             prob = priorityProb_;
         } else {
-            bool hot = cov_ && cov_->uncoveredAtLoc(loc) > 0;
+            bool hot = cov_ ? cov_->uncoveredAtLoc(loc) > 0
+                            : staticallyHot(loc);
             detail::tally(hot ? &runtime::SchedTallies::guidedHot
                               : &runtime::SchedTallies::guidedCold);
             prob = hot ? hotProb_ : coldProb_;
@@ -107,7 +121,18 @@ class GuidedPerturber
     int used() const { return used_; }
 
   private:
+    bool
+    staticallyHot(const SourceLoc &loc) const
+    {
+        if (statics_)
+            for (const staticmodel::Cu &cu : statics_->all())
+                if (cu.loc == loc && analysis::reqTemplate(cu.kind))
+                    return true;
+        return false;
+    }
+
     const analysis::CoverageState *cov_; ///< May be null: priority-only.
+    const staticmodel::CuTable *statics_ = nullptr;
     int bound_;
     double hotProb_;
     double coldProb_;

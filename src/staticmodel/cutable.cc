@@ -29,15 +29,6 @@ CuTable::find(const SourceLoc &loc) const
     return nullptr;
 }
 
-const Cu *
-CuTable::findKind(const SourceLoc &loc, CuKind kind) const
-{
-    for (const auto &cu : cus_)
-        if (cu.kind == kind && cu.loc == loc)
-            return &cu;
-    return nullptr;
-}
-
 std::vector<const Cu *>
 CuTable::findAll(const SourceLoc &loc) const
 {

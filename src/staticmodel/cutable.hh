@@ -35,9 +35,6 @@ class CuTable
      */
     const Cu *find(const SourceLoc &loc) const;
 
-    /** Find the CU of a specific kind at a source location. */
-    const Cu *findKind(const SourceLoc &loc, CuKind kind) const;
-
     /**
      * Every CU at a source location, in kind order — the multi-CU
      * companion to find() for lines like `go([&]{ c.send(1); })`.

@@ -9,9 +9,19 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdio>
+#include <random>
+#include <thread>
+
 #include "analysis/coverage.hh"
+#include "analysis/goroutine_tree.hh"
+#include "base/fmt.hh"
 #include "chan/chan.hh"
 #include "chan/select.hh"
+#include "goat/engine.hh"
+#include "goker/registry.hh"
+#include "obs/metrics.hh"
 #include "staticmodel/scanner.hh"
 #include "sync/sync.hh"
 #include "test_util.hh"
@@ -31,6 +41,66 @@ coverOne(std::function<void()> fn, uint64_t seed = 1)
     auto rr = runProgram(std::move(fn), seed);
     cov.addEct(rr.ect);
     return cov;
+}
+
+/**
+ * The golden fold of one GoBench kernel: seed 1, -d=2, 50 iterations,
+ * each folded into a copy of the static template and merged in order.
+ * Appends each iteration's standalone state to @p per_iter when given.
+ */
+CoverageState
+foldKernel(const goker::KernelInfo &k,
+           std::vector<CoverageState> *per_iter = nullptr)
+{
+    engine::GoatConfig cfg;
+    cfg.seedBase = 1;
+    cfg.delayBound = 2;
+    cfg.staticModel = goker::kernelCuTable(k);
+    const CoverageState tmpl(cfg.staticModel);
+    CoverageState merged(cfg.staticModel);
+    for (int i = 1; i <= 50; ++i) {
+        engine::SingleRun sr =
+            engine::runCampaignIteration(cfg, k.fn, i, nullptr);
+        CoverageState c(tmpl);
+        c.addEct(sr.ect, *sr.tree);
+        merged.mergeFrom(c);
+        if (per_iter)
+            per_iter->push_back(std::move(c));
+    }
+    return merged;
+}
+
+/** Every edge rendering of a folded state, as the golden file holds. */
+std::string
+dumpState(const std::string &name, const CoverageState &cov)
+{
+    std::string out = "== " + name + "\n";
+    out += strFormat(
+        "types blocked=%zu unblocking=%zu nop=%zu blocking=%zu\n",
+        cov.coveredCountOfType(ReqType::Blocked),
+        cov.coveredCountOfType(ReqType::Unblocking),
+        cov.coveredCountOfType(ReqType::Nop),
+        cov.coveredCountOfType(ReqType::Blocking));
+    out += "-- bitmap\n" + cov.bitmapStr();
+    out += "-- table\n" + cov.tableStr();
+    out += "-- uncovered\n";
+    for (const std::string &k : cov.uncovered())
+        out += k + "\n";
+    return out;
+}
+
+std::string
+readGolden(const char *path)
+{
+    std::string s;
+    if (FILE *f = std::fopen(path, "rb")) {
+        char buf[65536];
+        size_t n;
+        while ((n = std::fread(buf, 1, sizeof buf, f)) > 0)
+            s.append(buf, n);
+        std::fclose(f);
+    }
+    return s;
 }
 
 } // namespace
@@ -78,7 +148,7 @@ TEST(Coverage, SendRecvBehaviours)
     for (const auto &k : cov.uncovered())
         (void)k;
     // Scan covered keys via isCovered on the table CUs.
-    for (const auto &cu : cov.cuTable().all()) {
+    for (const auto &cu : cov.cus()) {
         if (cu.kind == CuKind::Send) {
             nop |= cov.isCovered(CoverageState::key(cu, ReqType::Nop));
             blocked |=
@@ -104,7 +174,7 @@ TEST(Coverage, BlockedCoveredEvenWhenGoroutineLeaks)
         yield();
     });
     bool send_blocked = false;
-    for (const auto &cu : cov.cuTable().all())
+    for (const auto &cu : cov.cus())
         if (cu.kind == CuKind::Send)
             send_blocked |=
                 cov.isCovered(CoverageState::key(cu, ReqType::Blocked));
@@ -125,7 +195,7 @@ TEST(Coverage, LockBlockedAndBlocking)
         yield();
     });
     bool blocked = false, blocking = false;
-    for (const auto &cu : cov.cuTable().all()) {
+    for (const auto &cu : cov.cus()) {
         if (cu.kind != CuKind::Lock)
             continue;
         blocked |= cov.isCovered(CoverageState::key(cu, ReqType::Blocked));
@@ -153,7 +223,7 @@ TEST(Coverage, UnlockUnblockingAndNop)
         yield();
     });
     int unlock_covered = 0;
-    for (const auto &cu : cov.cuTable().all()) {
+    for (const auto &cu : cov.cus()) {
         if (cu.kind != CuKind::Unlock)
             continue;
         if (cov.isCovered(CoverageState::key(cu, ReqType::Nop)))
@@ -195,7 +265,7 @@ TEST(Coverage, CloseSignalBroadcastDone)
     });
     bool close_unb = false, done_unb = false, sig_nop = false,
          bcast_unb = false;
-    for (const auto &cu : cov.cuTable().all()) {
+    for (const auto &cu : cov.cus()) {
         auto key_u = CoverageState::key(cu, ReqType::Unblocking);
         auto key_n = CoverageState::key(cu, ReqType::Nop);
         if (cu.kind == CuKind::Close)
@@ -220,7 +290,7 @@ TEST(Coverage, GoCuCoveredOnSpawn)
         yield();
     });
     bool go_nop = false;
-    for (const auto &cu : cov.cuTable().all())
+    for (const auto &cu : cov.cus())
         if (cu.kind == CuKind::Go)
             go_nop |= cov.isCovered(CoverageState::key(cu, ReqType::Nop));
     EXPECT_TRUE(go_nop);
@@ -238,8 +308,9 @@ TEST(Coverage, SelectCaseDiscoveryCreatesTriples)
     // The select CU must have case0/case1 requirement triples, and the
     // chosen ready case (case0, which woke the parked sender) must be
     // covered as unblocking.
+    const std::vector<Cu> cus = cov.cus();
     const Cu *sel = nullptr;
-    for (const auto &cu : cov.cuTable().all())
+    for (const auto &cu : cus)
         if (cu.kind == CuKind::Select)
             sel = &cu;
     ASSERT_NE(sel, nullptr);
@@ -262,8 +333,9 @@ TEST(Coverage, BlockedSelectCoversAllCases)
         Select().onRecv<int>(a, {}).onRecv<int>(b, {}).run();
         yield();
     });
+    const std::vector<Cu> cus = cov.cus();
     const Cu *sel = nullptr;
-    for (const auto &cu : cov.cuTable().all())
+    for (const auto &cu : cus)
         if (cu.kind == CuKind::Select)
             sel = &cu;
     ASSERT_NE(sel, nullptr);
@@ -279,8 +351,9 @@ TEST(Coverage, NonBlockingSelectUsesReq4)
         Chan<int> a;
         Select().onRecv<int>(a, {}).onDefault().run(); // default: NOP
     });
+    const std::vector<Cu> cus = cov.cus();
     const Cu *sel = nullptr;
-    for (const auto &cu : cov.cuTable().all())
+    for (const auto &cu : cus)
         if (cu.kind == CuKind::Select)
             sel = &cu;
     ASSERT_NE(sel, nullptr);
@@ -406,7 +479,7 @@ TEST(Coverage, RangeTreatedAsReceive)
     // The range loop's receives produce ChRecv events; the CU resolves
     // (dynamically) to a recv-shaped requirement set that gets covered.
     bool any_recv_covered = false;
-    for (const auto &cu : cov.cuTable().all()) {
+    for (const auto &cu : cov.cus()) {
         if (cu.kind == CuKind::Recv || cu.kind == CuKind::Range) {
             any_recv_covered |=
                 cov.isCovered(CoverageState::key(cu, ReqType::Blocked)) ||
@@ -415,4 +488,86 @@ TEST(Coverage, RangeTreatedAsReceive)
         }
     }
     EXPECT_TRUE(any_recv_covered);
+}
+
+// ---------------------------------------------------------------------
+// Differential checks against a golden fold of every GoBench kernel,
+// recorded with the string-set implementation the id/bitset one
+// replaced: the edges (bitmap, table, uncovered list, per-type counts)
+// must stay byte-identical.
+// ---------------------------------------------------------------------
+
+TEST(CoverageGolden, GokerFoldMatchesGolden)
+{
+    std::string golden =
+        readGolden(GOAT_SOURCE_DIR "/tests/golden/coverage_goker.txt");
+    ASSERT_FALSE(golden.empty());
+    std::string got;
+    for (const goker::KernelInfo *k : goker::KernelRegistry::instance().all())
+        got += dumpState(k->name, foldKernel(*k));
+    // Compare per kernel first so a failure names the kernel.
+    size_t pos = 0;
+    while (pos < got.size()) {
+        size_t next = got.find("\n== ", pos);
+        next = next == std::string::npos ? got.size() : next + 1;
+        ASSERT_EQ(golden.compare(pos, next - pos, got, pos, next - pos), 0)
+            << got.substr(pos, got.find('\n', pos) - pos);
+        pos = next;
+    }
+    EXPECT_EQ(got.size(), golden.size());
+}
+
+TEST(CoverageGolden, MergeOrderAndRestoreRoundTrip)
+{
+    std::mt19937 rng(7);
+    for (const goker::KernelInfo *k : goker::KernelRegistry::instance().all()) {
+        std::vector<CoverageState> parts;
+        const CoverageState inOrder = foldKernel(*k, &parts);
+        const std::string bitmap = inOrder.bitmapStr();
+
+        // Merging is a union: any order gives the same bitmap.
+        std::shuffle(parts.begin(), parts.end(), rng);
+        CoverageState shuffled(goker::kernelCuTable(*k));
+        for (const CoverageState &c : parts)
+            shuffled.mergeFrom(c);
+        EXPECT_EQ(shuffled.bitmapStr(), bitmap) << k->name;
+        EXPECT_EQ(shuffled.tableStr(), inOrder.tableStr()) << k->name;
+
+        // The string edge round-trips, counts included.
+        CoverageState restored;
+        ASSERT_TRUE(restored.restoreBitmap(bitmap)) << k->name;
+        EXPECT_EQ(restored.bitmapStr(), bitmap) << k->name;
+        for (ReqType t : {ReqType::Blocked, ReqType::Unblocking,
+                          ReqType::Nop, ReqType::Blocking})
+            EXPECT_EQ(restored.coveredCountOfType(t),
+                      inOrder.coveredCountOfType(t))
+                << k->name;
+    }
+}
+
+TEST(CoverageGolden, ConcurrentFoldsMatchSingleThread)
+{
+    // Four threads fold different kernels at once through the shared
+    // requirement table; each must match its own single-thread fold.
+    // The threads run first, so they intern the kernels' requirements
+    // concurrently.
+    auto all = goker::KernelRegistry::instance().all();
+    const size_t n = std::min<size_t>(8, all.size());
+    std::vector<std::string> got(n);
+    std::vector<std::thread> threads;
+    for (size_t t = 0; t < 4; ++t) {
+        threads.emplace_back([&, t] {
+            // A private metrics registry per thread, as campaign
+            // workers install.
+            obs::Registry reg;
+            obs::ScopedRegistry scope(reg);
+            for (size_t i = t; i < n; i += 4)
+                got[i] = dumpState(all[i]->name, foldKernel(*all[i]));
+        });
+    }
+    for (auto &th : threads)
+        th.join();
+    for (size_t i = 0; i < n; ++i)
+        EXPECT_EQ(got[i], dumpState(all[i]->name, foldKernel(*all[i])))
+            << all[i]->name;
 }

@@ -219,3 +219,40 @@ TEST(MhpPrune, NoWorseThanLintGuided)
         EXPECT_LE(pruned_total, lint_total) << name;
     }
 }
+
+TEST(GuidedMhp, PriorityOnlyIgnoresTheCumulativeState)
+{
+    // A priority-only policy must be a pure function of the iteration:
+    // whatever the caller folded into the state it hands over (a -cov
+    // worker folds its own iterations), the schedule is the same. This
+    // is what keeps -mhp-prune/-lint-guided -cov campaigns identical
+    // for any -jobs value.
+    const auto *k = goker::KernelRegistry::instance().find("cockroach_1055");
+    ASSERT_NE(k, nullptr);
+    engine::GoatConfig cfg;
+    cfg.delayBound = 2;
+    cfg.staticModel = goker::kernelCuTable(*k);
+    cfg.prioritySites = goker::kernelMhpSites(*k);
+    ASSERT_FALSE(cfg.prioritySites.empty());
+
+    const CoverageState fresh(cfg.staticModel);
+    CoverageState fed(cfg.staticModel);
+    for (int i = 1; i <= 40; ++i) {
+        engine::SingleRun sr =
+            engine::runCampaignIteration(cfg, k->fn, i, nullptr);
+        fed.addEct(sr.ect, *sr.tree);
+    }
+    ASSERT_NE(fed.bitmapStr(), fresh.bitmapStr());
+
+    for (int i = 1; i <= 40; ++i) {
+        engine::SingleRun a =
+            engine::runCampaignIteration(cfg, k->fn, i, &fresh);
+        engine::SingleRun b =
+            engine::runCampaignIteration(cfg, k->fn, i, &fed);
+        engine::finalizeRecipe(a);
+        engine::finalizeRecipe(b);
+        EXPECT_EQ(a.recipe.yields, b.recipe.yields) << "iteration " << i;
+        EXPECT_EQ(a.recipe.hookCalls, b.recipe.hookCalls) << "iteration " << i;
+        EXPECT_EQ(a.recipe.ectHash, b.recipe.ectHash) << "iteration " << i;
+    }
+}
