@@ -9,15 +9,26 @@
  * merged coverage bitmap at every worker count must equal the jobs=1
  * bitmap, or the speedup numbers are meaningless.
  *
+ * Also measures the soak memory row: peak RSS of a cockroach_1055
+ * `-cov -predict -keep-going` campaign at jobs=2 for 10k and 100k
+ * iterations, each run in a forked child so it reads its own
+ * high-water mark. The difference over the extra 90k iterations is
+ * the memory a campaign retains per iteration, which
+ * tools/check_bench.py bounds.
+ *
  * Writes a machine-readable summary to BENCH_campaign.json in the
  * current directory: per-jobs wall time, iterations/second, and
- * speedup, plus the honest host core count. Job counts exceeding the
+ * speedup, plus the honest host core count and the soak memory row. Job counts exceeding the
  * cores the container grants still run (the determinism cross-check
  * covers them) but are marked timed=false and carry no speedup — an
  * oversubscribed "slowdown" is scheduler noise, not a regression, and
  * timing-quality consumers (tools/check_bench.py --compare) skip
  * those samples.
  */
+
+#include <sys/resource.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include <chrono>
 #include <cstdio>
@@ -89,6 +100,51 @@ runSubset(int jobs, int iterations, std::vector<std::string> *bitmaps)
             .count());
 }
 
+/** Soak memory row sizes: the retained bytes per iteration are the
+ * peak-RSS difference over the 90k iterations between them. */
+constexpr int kSoakSmall = 10'000;
+constexpr int kSoakLarge = 100'000;
+
+/**
+ * Peak RSS in KiB of one cockroach_1055 -cov -predict -keep-going
+ * campaign of @p iterations at jobs=2, run in a forked child (-1 on
+ * failure). Both sizes fork from the same parent state, so their
+ * difference is the campaign's own growth.
+ */
+long
+soakPeakRssKb(int iterations)
+{
+    const goker::KernelInfo *k =
+        goker::KernelRegistry::instance().find("cockroach_1055");
+    if (!k)
+        return -1;
+    std::fflush(stdout);
+    pid_t pid = ::fork();
+    if (pid < 0)
+        return -1;
+    if (pid == 0) {
+        CampaignConfig cfg;
+        cfg.engine.maxIterations = iterations;
+        cfg.engine.stopOnBug = false;
+        cfg.engine.collectCoverage = true;
+        cfg.engine.covThreshold = 200.0;
+        cfg.engine.predict = true;
+        cfg.engine.staticModel = goker::kernelCuTable(*k);
+        cfg.programName = k->name;
+        cfg.jobs = 2;
+        CampaignResult r = campaign::runCampaign(cfg, k->fn);
+        _exit(static_cast<int>(r.merged.iterations.size()) == iterations
+                  ? 0
+                  : 1);
+    }
+    int status = 0;
+    struct rusage ru = {};
+    if (::wait4(pid, &status, 0, &ru) != pid || !WIFEXITED(status) ||
+        WEXITSTATUS(status) != 0)
+        return -1;
+    return ru.ru_maxrss;
+}
+
 } // namespace
 
 int
@@ -124,6 +180,21 @@ main()
             s.identical = bitmaps == base_bitmaps;
         samples.push_back(s);
     }
+
+    const long rss_small = soakPeakRssKb(kSoakSmall);
+    const long rss_large = soakPeakRssKb(kSoakLarge);
+    if (rss_small <= 0 || rss_large <= 0) {
+        std::printf("soak memory row: campaign failed\n");
+        return 1;
+    }
+    const double bytes_per_iter =
+        1024.0 * static_cast<double>(rss_large - rss_small) /
+        (kSoakLarge - kSoakSmall);
+    std::printf("soak (cockroach_1055 -cov -predict -keep-going, "
+                "jobs=2): peak RSS %.1f MB at %d, %.1f MB at %d "
+                "iterations, %.0f B retained per iteration\n\n",
+                rss_small / 1024.0, kSoakSmall, rss_large / 1024.0,
+                kSoakLarge, bytes_per_iter);
 
     uint64_t base = samples[0].wallMicros;
     std::printf("%-6s %12s %12s %10s %10s\n", "jobs", "wall_ms",
@@ -174,7 +245,15 @@ main()
             std::fprintf(f, ",\"merged_identical\":%s}",
                          s.identical ? "true" : "false");
         }
-        std::fprintf(f, "]}\n");
+        std::fprintf(f,
+                     "],\"soak_rss\":{\"kernel\":\"cockroach_1055\","
+                     "\"flags\":\"-cov -predict -keep-going\","
+                     "\"jobs\":2,\"samples\":["
+                     "{\"iterations\":%d,\"peak_rss_kb\":%ld},"
+                     "{\"iterations\":%d,\"peak_rss_kb\":%ld}],"
+                     "\"bytes_per_iter\":%.1f}}\n",
+                     kSoakSmall, rss_small, kSoakLarge, rss_large,
+                     bytes_per_iter);
         std::fclose(f);
         std::printf("summary written to BENCH_campaign.json\n");
     }

@@ -1,8 +1,9 @@
 /**
  * @file
  * Multi-worker campaign orchestration: fan a testing campaign's
- * iteration budget out across N worker threads and merge the results
- * into exactly what a sequential campaign would have produced.
+ * iteration budget out across N worker threads and fold the results,
+ * while they run, into exactly what a sequential campaign would have
+ * produced.
  *
  * The paper's workflow is embarrassingly parallel — every perturbation
  * iteration is an independent execution of the target under a fresh
@@ -10,9 +11,14 @@
  * by running iterations concurrently while keeping the runtime itself
  * single-threaded: each worker owns a private Scheduler/engine stack
  * and a private obs::Registry (installed thread-locally via
- * ScopedRegistry), and the only cross-worker coordination is lock-free
- * (an atomic iteration counter for work distribution and an atomic
- * stop watermark for the early-stop broadcast).
+ * ScopedRegistry). Workers coordinate through an atomic iteration
+ * counter (work distribution), an atomic stop watermark (the early-stop
+ * broadcast) and a bounded reorder window: each finished iteration's
+ * record goes into a ring of kWindowPerWorker * N slots, the campaign
+ * thread folds records in iteration order and frees them, and a worker
+ * may start iteration i only once i is within the window of the fold's
+ * cursor. Memory is therefore bounded by configuration, not campaign
+ * length. At N = 1 the worker folds inline and there is no window.
  *
  * Determinism contract: a campaign's merged result is a pure function
  * of the configuration (notably -seed) and *independent of the worker
@@ -23,11 +29,11 @@
  *     claims it, so every execution is identical across placements.
  *  2. Per-iteration coverage contributions. Each iteration's trace is
  *     folded into a private CoverageState seeded from the static
- *     model; the merge folds contributions in iteration order, so the
+ *     model; the fold ORs contributions in iteration order, so the
  *     merged bitmap is the same union for any assignment of
  *     iterations to workers.
  *  3. Canonical cutoff. Workers may overshoot a stop condition (an
- *     iteration already in flight cannot be recalled); the merge
+ *     iteration already in flight cannot be recalled); the fold
  *     replays stop semantics sequentially — first bug under
  *     -stop-on-bug, coverage threshold with -cov — and discards every
  *     iteration past the canonical stop point, so verdicts,
@@ -53,6 +59,13 @@
 #include "staticmodel/lint.hh"
 
 namespace goat::campaign {
+
+/**
+ * Reorder-window slots per worker: a jobs=N campaign (N > 1) holds at
+ * most kWindowPerWorker * N iteration records at once, whatever its
+ * length. Exported as the campaign.window_peak gauge.
+ */
+constexpr int kWindowPerWorker = 64;
 
 /**
  * Campaign configuration: the shared per-iteration engine config plus
@@ -129,12 +142,13 @@ struct CampaignConfig
     int maxRespawns = 16;
     /**
      * Periodic campaign checkpoint path (-checkpoint; "" = off).
-     * Snapshots the merged prefix every checkpointEvery iterations via
-     * atomic tmp+rename, so a killed campaign resumes losing at most
-     * one round of work.
+     * The fold snapshots the merged prefix every checkpointEvery
+     * folded iterations via atomic tmp+rename, without pausing the
+     * workers, so a killed campaign resumes losing at most the
+     * iterations since the last snapshot.
      */
     std::string checkpointPath;
-    /** Iterations per checkpoint round (with checkpointPath). */
+    /** Folded iterations between checkpoints (with checkpointPath). */
     int checkpointEvery = 64;
     /**
      * Resume from a checkpoint written by a compatible configuration
@@ -241,9 +255,9 @@ struct CampaignResult
 
 /**
  * Run a campaign on @p program: distribute iterations 1..maxIterations
- * over cfg.jobs workers, early-stop all workers once any stop
- * condition is met, then merge per-worker ledgers, coverage, and
- * metrics into the canonical result.
+ * over cfg.jobs workers, fold their records in canonical order as they
+ * finish, early-stop all workers once any stop condition is met, and
+ * fold the per-worker metrics into the canonical result.
  *
  * Must be called from a thread with no live Scheduler (it joins its
  * workers before returning). The caller's Registry::current() receives

@@ -2,8 +2,9 @@
  * @file
  * Campaign checkpoint/resume: periodic snapshots of the merged
  * campaign state, written atomically (tmp+rename) so a campaign killed
- * mid-flight resumes losing at most one round of work, and the resumed
- * run's merged output is canonically identical to a never-killed run.
+ * mid-flight resumes losing at most the iterations since the last
+ * snapshot, and the resumed run's merged output is canonically
+ * identical to a never-killed run.
  *
  * What a checkpoint stores is deliberately cheap: the contiguous
  * merged ledger-row prefix (with each row's metrics object pre-

@@ -156,7 +156,9 @@ runShardChild(const CampaignConfig &cfg,
     const analysis::CoverageState covTemplate =
         measure_cov ? analysis::CoverageState(ecfg.staticModel)
                     : analysis::CoverageState();
-    const analysis::CoverageState localCov =
+    // The guided policy's cumulative coverage, folded per iteration
+    // exactly as a threaded worker folds its own.
+    analysis::CoverageState localCov =
         ecfg.coverageGuided ? analysis::CoverageState(ecfg.staticModel)
                             : analysis::CoverageState();
 
@@ -207,6 +209,8 @@ runShardChild(const CampaignConfig &cfg,
             analysis::CoverageState cov(covTemplate);
             cov.addEct(sr.ect, *sr.tree);
             d.covBitmap = cov.bitmapStr();
+            if (ecfg.coverageGuided)
+                localCov.mergeFrom(cov);
         }
 
         if (!sendFrame(wr, 'R', digestToString(d)))

@@ -126,6 +126,13 @@ struct GoatResult
     analysis::RaceReport firstRaces;
     /** 1-based iteration of the first race (-1 = none). */
     int raceIteration = -1;
+    /**
+     * One summary per iteration. GoatEngine::run keeps each full
+     * outcome; a campaign (campaign::runCampaign) keeps only outcome,
+     * steps, verdict, coveragePct and wallMicros, so a long campaign
+     * retains a few hundred bytes per iteration. The first bug's full
+     * detail (leak lists, panic message) is in firstBug/firstBugExec.
+     */
     std::vector<IterationOutcome> iterations;
     /** Final coverage percentage (-1 without -cov). */
     double finalCoverage = -1.0;

@@ -9,14 +9,21 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "campaign/campaign.hh"
+#include "campaign/checkpoint.hh"
+#include "chan/chan.hh"
 #include "goker/registry.hh"
 #include "obs/profile.hh"
+#include "runtime/api.hh"
 #include "trace/ect_ring.hh"
 
 using namespace goat;
@@ -355,4 +362,205 @@ TEST(Campaign, CoverageThresholdStopIsDeterministic)
         EXPECT_GE(r.merged.finalCoverage, 50.0);
     }
     EXPECT_EQ(cutoffs[0], cutoffs[1]);
+}
+
+namespace {
+
+/**
+ * @p line (one ledger row) without the host- and placement-dependent
+ * keys, the canonical view tools/check_ledger.py compares.
+ */
+std::string
+canonicalRow(std::string line)
+{
+    for (const char *key :
+         {"\"wall_us\":", "\"worker\":", "\"wseq\":", "\"metrics\":"}) {
+        size_t at = line.find(key);
+        if (at == std::string::npos)
+            continue;
+        size_t end = at + std::strlen(key);
+        for (int depth = 0; end < line.size(); ++end) {
+            char c = line[end];
+            if (c == '{') {
+                ++depth;
+            } else if (c == '}' && depth > 0) {
+                if (--depth == 0) {
+                    ++end;
+                    break;
+                }
+            } else if ((c == ',' || c == '}') && depth == 0) {
+                break;
+            }
+        }
+        if (end < line.size() && line[end] == ',')
+            ++end;
+        else if (at > 0 && line[at - 1] == ',')
+            --at;
+        line.erase(at, end - at);
+    }
+    return line;
+}
+
+/** Canonical rows of the ledger at @p path, in file order. */
+std::vector<std::string>
+canonicalLedger(const std::string &path)
+{
+    std::vector<std::string> rows;
+    std::ifstream in(path);
+    std::string line;
+    while (std::getline(in, line))
+        if (!line.empty())
+            rows.push_back(canonicalRow(line));
+    return rows;
+}
+
+/** Run @p cfg under a private registry; return campaign.window_peak. */
+int64_t
+windowPeak(const CampaignConfig &cfg, const std::function<void()> &fn,
+           CampaignResult *out)
+{
+    obs::Registry reg;
+    obs::ScopedRegistry scope(reg);
+    *out = runCampaign(cfg, fn);
+    return reg.gauge("campaign.window_peak").value();
+}
+
+} // namespace
+
+// The reorder window bounds the records a campaign holds at once by
+// configuration, not by campaign length: at most kWindowPerWorker per
+// worker, and exactly one at a time at jobs=1 (the inline fold).
+TEST(CampaignWindow, PeakIsBoundedByTheWindow)
+{
+    const goker::KernelInfo &k = kernel("cockroach_1055");
+    for (int jobs : {1, 4, 8}) {
+        CampaignConfig cfg = baseConfig(k, jobs);
+        cfg.engine.collectCoverage = false;
+        cfg.engine.stopOnBug = false;
+        cfg.engine.maxIterations = 5000;
+        CampaignResult r;
+        int64_t peak = windowPeak(cfg, k.fn, &r);
+        SCOPED_TRACE(jobs);
+        EXPECT_EQ(r.merged.iterations.size(), 5000u);
+        EXPECT_GE(peak, 1);
+        EXPECT_LE(peak, jobs == 1 ? 1 : campaign::kWindowPerWorker * jobs);
+    }
+}
+
+// Stop-on-bug while the window is full: the first program call stalls
+// until every other iteration the window admits has started, so the
+// other workers fill the window behind it and block on back-pressure.
+// The stalled iteration then deadlocks. The campaign must stop there,
+// wake the blocked workers, and count the full window as overshoot.
+TEST(CampaignWindow, StopOnBugWithFullWindowFinishes)
+{
+    const int jobs = 8;
+    const int width = campaign::kWindowPerWorker * jobs;
+    std::atomic<int> calls{0};
+    auto program = [&calls, width]() {
+        if (calls.fetch_add(1) > 0) {
+            yield();
+            return;
+        }
+        auto deadline =
+            std::chrono::steady_clock::now() + std::chrono::seconds(60);
+        while (calls.load() < width &&
+               std::chrono::steady_clock::now() < deadline)
+            std::this_thread::sleep_for(std::chrono::milliseconds(5));
+        std::this_thread::sleep_for(std::chrono::milliseconds(50));
+        Chan<int> c;
+        c.recv(); // global deadlock
+    };
+    CampaignConfig cfg;
+    cfg.engine.delayBound = 0;
+    cfg.engine.maxIterations = 5000;
+    cfg.jobs = jobs;
+    CampaignResult r;
+    int64_t peak = windowPeak(cfg, program, &r);
+    ASSERT_TRUE(r.merged.bugFound);
+    EXPECT_EQ(r.cutoffIteration, r.merged.bugIteration);
+    EXPECT_EQ(static_cast<int>(r.merged.iterations.size()),
+              r.merged.bugIteration);
+    // The stalled record is the last to publish; under a slow host a
+    // record queued behind it may publish after the fold took it.
+    EXPECT_GE(peak, width - 1);
+    EXPECT_LE(peak, width);
+    // Everything the window admitted ran: the bug's iteration, the
+    // prefix before it, and the width - 1 records queued behind it.
+    EXPECT_EQ(r.discardedIterations, width - 1);
+    EXPECT_EQ(r.executedIterations, r.merged.bugIteration + width - 1);
+}
+
+// Checkpoints are written by the fold while the workers run, without
+// joining them: a jobs=4 campaign checkpointing every 7 iterations
+// writes the same canonical ledger as an uninterrupted jobs=1 run, and
+// its last checkpoint covers the whole campaign.
+TEST(CampaignWindow, InProcessCheckpointsKeepTheLedgerCanonical)
+{
+    const goker::KernelInfo &k = kernel("cockroach_7504");
+    std::string l1 = testing::TempDir() + "window_ck_j1.jsonl";
+    std::string l4 = testing::TempDir() + "window_ck_j4.jsonl";
+    std::string ck = testing::TempDir() + "window_ck_j4.ck";
+    std::remove(l1.c_str());
+    std::remove(l4.c_str());
+    std::remove(ck.c_str());
+
+    CampaignConfig c1 = baseConfig(k, 1);
+    c1.engine.delayBound = 1;
+    c1.engine.stopOnBug = false;
+    c1.engine.maxIterations = 300;
+    c1.engine.ledgerPath = l1;
+    CampaignConfig c4 = c1;
+    c4.jobs = 4;
+    c4.engine.ledgerPath = l4;
+    c4.checkpointPath = ck;
+    c4.checkpointEvery = 7;
+
+    CampaignResult r1 = runCampaign(c1, k.fn);
+    CampaignResult r4 = runCampaign(c4, k.fn);
+    EXPECT_TRUE(r4.checkpointOk);
+    std::vector<std::string> a = canonicalLedger(l1);
+    EXPECT_EQ(a.size(), 300u);
+    EXPECT_EQ(a, canonicalLedger(l4));
+    EXPECT_EQ(r1.coverage.bitmapStr(), r4.coverage.bitmapStr());
+
+    campaign::CheckpointData d;
+    std::string err;
+    ASSERT_TRUE(campaign::readCheckpointFile(ck, &d, &err)) << err;
+    EXPECT_EQ(d.cursor, 300);
+    EXPECT_EQ(d.executed, 300);
+    EXPECT_EQ(d.rows.size(), 300u);
+    std::remove(l1.c_str());
+    std::remove(l4.c_str());
+    std::remove(ck.c_str());
+}
+
+// A coverage-guided jobs=1 campaign steers by the same cumulative
+// coverage in a supervised shard as in a worker thread, so both
+// drivers write the same canonical ledger.
+TEST(CampaignWindow, GuidedShardFoldsItsCoverageLikeAWorker)
+{
+    const goker::KernelInfo &k = kernel("moby_28462");
+    std::string lt = testing::TempDir() + "guided_threaded.jsonl";
+    std::string li = testing::TempDir() + "guided_isolated.jsonl";
+    std::remove(lt.c_str());
+    std::remove(li.c_str());
+
+    CampaignConfig ct = baseConfig(k, 1);
+    ct.engine.coverageGuided = true;
+    ct.engine.stopOnBug = false;
+    ct.engine.maxIterations = 60;
+    ct.engine.ledgerPath = lt;
+    CampaignConfig ci = ct;
+    ci.isolate = true;
+    ci.engine.ledgerPath = li;
+
+    CampaignResult rt = runCampaign(ct, k.fn);
+    CampaignResult ri = runCampaign(ci, k.fn);
+    std::vector<std::string> a = canonicalLedger(lt);
+    EXPECT_EQ(a.size(), 60u);
+    EXPECT_EQ(a, canonicalLedger(li));
+    EXPECT_EQ(rt.coverage.bitmapStr(), ri.coverage.bitmapStr());
+    std::remove(lt.c_str());
+    std::remove(li.c_str());
 }

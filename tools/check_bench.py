@@ -10,9 +10,14 @@ Validate mode (default):
   * BENCH_campaign.json — the campaign scaling sweep written by
     bench_campaign. Must parse, cover jobs ∈ {1,2,4,8}, and report
     merged_identical=true everywhere (the determinism cross-check the
-    bench performs on its own results). Samples marked timed=false
+    bench performs on its own results). A sample is timed exactly when
+    its jobs value fits the host's cores; samples marked timed=false
     (job counts oversubscribing the host) are exempt from timing
-    fields — their wall time is scheduler noise by construction.
+    fields — their wall time is scheduler noise by construction. The
+    soak_rss row (peak RSS of a cockroach_1055 -cov -predict
+    -keep-going campaign at jobs=2, 10k and 100k iterations) must
+    show at most 600 B of peak RSS per extra iteration: a campaign's
+    memory is bounded by configuration, not by its length.
 
 Compare mode (the CI perf-regression gate):
 
@@ -40,6 +45,8 @@ import sys
 from pathlib import Path
 
 OVERHEAD_BUDGET_PCT = 5.0
+SOAK_BYTES_PER_ITER_BUDGET = 600.0
+SOAK_ITERATIONS = [10000, 100000]
 FAIL_REGRESSION_PCT = 25.0
 WARN_REGRESSION_PCT = 10.0
 
@@ -104,6 +111,7 @@ def check_campaign(root):
     samples = doc.get("samples")
     if not isinstance(samples, list) or not samples:
         fail("BENCH_campaign.json: missing samples array")
+    cores = doc["host_cores"]
     jobs_seen = []
     timed_count = 0
     for s in samples:
@@ -112,6 +120,9 @@ def check_campaign(root):
         pos_int(s, name, "wall_us")
         if not isinstance(s.get("timed"), bool):
             fail(f"{name}: missing timed flag")
+        if s["timed"] != (s["jobs"] <= cores):
+            fail(f"{name}: timed={s['timed']} but the host has "
+                 f"{cores} core(s)")
         if s["timed"]:
             timed_count += 1
             ips = s.get("iters_per_sec")
@@ -130,9 +141,36 @@ def check_campaign(root):
     if timed_count == 0:
         fail("BENCH_campaign.json: no timed samples (jobs=1 must "
              "always be timed)")
+    per_iter = check_soak_rss(doc)
     print(f"check_bench: OK — BENCH_campaign.json: "
           f"{len(samples)} job count(s), {timed_count} timed, "
-          f"all merged_identical")
+          f"all merged_identical; soak retains {per_iter:.0f} B/iter "
+          f"(budget {SOAK_BYTES_PER_ITER_BUDGET:.0f})")
+
+
+def check_soak_rss(doc):
+    """Validate the soak memory row; returns its bytes per iteration."""
+    name = "BENCH_campaign.json soak_rss"
+    row = doc.get("soak_rss")
+    if not isinstance(row, dict):
+        fail(f"{name}: missing")
+    samples = row.get("samples")
+    if not isinstance(samples, list) or \
+            [s.get("iterations") for s in samples] != SOAK_ITERATIONS:
+        fail(f"{name}: samples must cover iterations {SOAK_ITERATIONS}")
+    small, large = (pos_int(s, name, "peak_rss_kb") for s in samples)
+    per_iter = 1024.0 * (large - small) / \
+        (SOAK_ITERATIONS[1] - SOAK_ITERATIONS[0])
+    claimed = row.get("bytes_per_iter")
+    if not isinstance(claimed, (int, float)) or isinstance(claimed, bool) \
+            or abs(claimed - per_iter) > 0.1:
+        fail(f"{name}: bytes_per_iter {claimed!r} does not match the "
+             f"peaks ({per_iter:.1f})")
+    if per_iter > SOAK_BYTES_PER_ITER_BUDGET:
+        fail(f"{name}: peak RSS grows {per_iter:.0f} B per iteration "
+             f"(budget {SOAK_BYTES_PER_ITER_BUDGET:.0f}): campaign "
+             f"memory grows with its length")
+    return per_iter
 
 
 def delta_pct(old, new):
