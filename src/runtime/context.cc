@@ -16,6 +16,10 @@
 #include <sanitizer/common_interface_defs.h>
 #endif
 
+#ifdef GOAT_TSAN_FIBERS
+#include <sanitizer/tsan_interface.h>
+#endif
+
 namespace goat::runtime {
 
 StackPool &
@@ -25,9 +29,11 @@ StackPool::forThread()
     return pool;
 }
 
-StackPool::Entry
+FiberStack
 StackPool::mapStack(size_t size)
 {
+    FiberStack e;
+    e.size = size;
 #ifdef GOAT_MMAP_STACKS
     static const size_t page = static_cast<size_t>(sysconf(_SC_PAGESIZE));
     // Round the usable range up to whole pages and prepend one guard
@@ -43,61 +49,76 @@ StackPool::mapStack(size_t size)
         panic("mmap of fiber stack failed");
     if (mprotect(base, page, PROT_NONE) != 0)
         panic("mprotect of fiber guard page failed");
-    return Entry{static_cast<char *>(base) + page, size};
+    e.base = static_cast<char *>(base) + page;
 #else
-    return Entry{new char[size], size};
+    e.base = new char[size];
 #endif
+    return e;
 }
 
 void
-StackPool::unmapStack(const Entry &e)
+StackPool::unmapStack(const FiberStack &e)
 {
 #ifdef GOAT_MMAP_STACKS
 #ifdef GOAT_ASAN_FIBERS
     // The departing tenant's frame redzones must not outlive the
     // mapping: a later unrelated mmap can land on the same pages.
-    __asan_unpoison_memory_region(e.stack, e.size);
+    __asan_unpoison_memory_region(e.base, e.size);
 #endif
     static const size_t page = static_cast<size_t>(sysconf(_SC_PAGESIZE));
     size_t usable = (e.size + page - 1) & ~(page - 1);
-    munmap(e.stack - page, usable + page);
+    munmap(e.base - page, usable + page);
 #else
-    delete[] e.stack;
+    delete[] e.base;
 #endif
 }
 
-char *
+FiberStack
 StackPool::acquire(size_t size, bool *pooled)
 {
+    FiberStack s;
+    if (pooled)
+        *pooled = false;
     // Sizes are uniform in practice (SchedConfig::stackSize); scan from
     // the back so a mixed-size workload still hits quickly.
     for (size_t i = free_.size(); i > 0; --i) {
         if (free_[i - 1].size == size) {
-            char *s = free_[i - 1].stack;
+            s = free_[i - 1];
             free_.erase(free_.begin() + static_cast<ptrdiff_t>(i - 1));
             if (pooled)
                 *pooled = true;
-            return s;
+            break;
         }
     }
-    if (pooled)
-        *pooled = false;
-    return mapStack(size).stack;
+    if (!s.base)
+        s = mapStack(size);
+#ifdef GOAT_TSAN_FIBERS
+    // A fresh TSan fiber per tenant: a goroutine never returns from its
+    // entry frame, so a reused fiber would keep every earlier tenant's
+    // frames on its shadow stack, and TSan copies that stack into each
+    // new trace part.
+    s.tsanFiber = __tsan_create_fiber(0);
+#endif
+    return s;
 }
 
 void
-StackPool::release(char *stack, size_t size)
+StackPool::release(FiberStack stack)
 {
+#ifdef GOAT_TSAN_FIBERS
+    __tsan_destroy_fiber(stack.tsanFiber);
+    stack.tsanFiber = nullptr;
+#endif
     if (free_.size() >= kMaxRetained) {
-        unmapStack(Entry{stack, size});
+        unmapStack(stack);
         return;
     }
-    free_.push_back(Entry{stack, size});
+    free_.push_back(stack);
 }
 
 StackPool::~StackPool()
 {
-    for (const Entry &e : free_)
+    for (const FiberStack &e : free_)
         unmapStack(e);
 }
 
@@ -182,6 +203,20 @@ goat_asan_fiber_entered()
 
 #endif // GOAT_ASAN_FIBERS
 
+#ifdef GOAT_TSAN_FIBERS
+
+void
+FiberContext::tsanSwitch(FiberContext &from, FiberContext &to)
+{
+    // The scheduler's own context runs on the thread's own TSan fiber,
+    // detected the first time the scheduler suspends itself.
+    if (from.tsanFiber_ == nullptr)
+        from.tsanFiber_ = __tsan_get_current_fiber();
+    __tsan_switch_to_fiber(to.tsanFiber_, 0);
+}
+
+#endif // GOAT_TSAN_FIBERS
+
 } // namespace goat::runtime
 
 #ifdef GOAT_USE_UCONTEXT
@@ -209,17 +244,19 @@ ucontextTrampoline(unsigned hi_entry, unsigned lo_entry, unsigned hi_arg,
 } // namespace
 
 void
-FiberContext::prepare(void *stack_base, size_t stack_size, FiberEntry entry,
-                      void *arg)
+FiberContext::prepare(const FiberStack &stack, FiberEntry entry, void *arg)
 {
     // Unpoison first: a recycled stack still carries the previous
     // fiber's frame redzones, and both makecontext and the priming
     // writes below land inside them.
-    asanPrepareStack(this, stack_base, stack_size);
+    asanPrepareStack(this, stack.base, stack.size);
+#ifdef GOAT_TSAN_FIBERS
+    tsanFiber_ = stack.tsanFiber;
+#endif
     if (getcontext(&uctx_) != 0)
         panic("getcontext failed");
-    uctx_.uc_stack.ss_sp = stack_base;
-    uctx_.uc_stack.ss_size = stack_size;
+    uctx_.uc_stack.ss_sp = stack.base;
+    uctx_.uc_stack.ss_size = stack.size;
     uctx_.uc_link = nullptr;
     auto ep = reinterpret_cast<uintptr_t>(entry);
     auto ap = reinterpret_cast<uintptr_t>(arg);
@@ -235,6 +272,9 @@ FiberContext::swap(FiberContext &from, FiberContext &to)
 {
 #ifdef GOAT_ASAN_FIBERS
     asanBeginSwitch(from, to);
+#endif
+#ifdef GOAT_TSAN_FIBERS
+    tsanSwitch(from, to);
 #endif
     if (swapcontext(&from.uctx_, &to.uctx_) != 0)
         panic("swapcontext failed");
@@ -255,8 +295,7 @@ void goat_ctx_entry_thunk();
 namespace goat::runtime {
 
 void
-FiberContext::prepare(void *stack_base, size_t stack_size, FiberEntry entry,
-                      void *arg)
+FiberContext::prepare(const FiberStack &stack, FiberEntry entry, void *arg)
 {
     // The assembly thunk moves the r15 slot into rdi and calls
     // goat_fiber_entry; the scheduler routes that to the real entry. We
@@ -272,10 +311,13 @@ FiberContext::prepare(void *stack_base, size_t stack_size, FiberEntry entry,
     // Unpoison first: a recycled stack still carries the previous
     // fiber's frame redzones, and the priming writes below land
     // inside them.
-    asanPrepareStack(this, stack_base, stack_size);
+    asanPrepareStack(this, stack.base, stack.size);
+#ifdef GOAT_TSAN_FIBERS
+    tsanFiber_ = stack.tsanFiber;
+#endif
 
     auto top =
-        reinterpret_cast<uintptr_t>(stack_base) + stack_size;
+        reinterpret_cast<uintptr_t>(stack.base) + stack.size;
     top &= ~static_cast<uintptr_t>(15);
 
     // Reserve space for the entry box at the top of the stack.
@@ -311,6 +353,9 @@ FiberContext::swap(FiberContext &from, FiberContext &to)
 {
 #ifdef GOAT_ASAN_FIBERS
     asanBeginSwitch(from, to);
+#endif
+#ifdef GOAT_TSAN_FIBERS
+    tsanSwitch(from, to);
 #endif
     goat_ctx_swap(&from.sp_, to.sp_);
 #ifdef GOAT_ASAN_FIBERS

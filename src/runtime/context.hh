@@ -40,10 +40,39 @@
 #endif
 #endif
 
+/**
+ * ThreadSanitizer likewise keeps one shadow call stack and one
+ * happens-before history per thread. Fibers switched underneath it
+ * leave every finished goroutine's frames on that shadow stack, which
+ * TSan copies into each new trace part, so its memory grows
+ * quadratically with the goroutines a thread runs. Under TSan every
+ * stack StackPool hands out therefore carries a fresh TSan fiber
+ * (__tsan_create_fiber), destroyed when the stack goes back to the
+ * pool, and every switch announces its target with
+ * __tsan_switch_to_fiber. The switch synchronizes, since all fibers of
+ * a scheduler share one OS thread.
+ */
+#if defined(__SANITIZE_THREAD__)
+#define GOAT_TSAN_FIBERS 1
+#elif defined(__has_feature)
+#if __has_feature(thread_sanitizer)
+#define GOAT_TSAN_FIBERS 1
+#endif
+#endif
+
 namespace goat::runtime {
 
 /** Entry function type for a fresh fiber. Must never return. */
 using FiberEntry = void (*)(void *arg);
+
+/** A fiber stack handed out by StackPool. */
+struct FiberStack
+{
+    char *base = nullptr; ///< Lowest usable address (guard page below).
+    size_t size = 0;      ///< Usable bytes.
+    /** TSan fiber of the stack's tenant (null unless under TSan). */
+    void *tsanFiber = nullptr;
+};
 
 /**
  * Thread-local pool of fiber stacks, recycled across Scheduler
@@ -67,12 +96,11 @@ class StackPool
      * Acquire a stack of @p size usable bytes.
      *
      * @param[out] pooled True when the stack was recycled (telemetry).
-     * @return Lowest usable address (guard page excluded).
      */
-    char *acquire(size_t size, bool *pooled);
+    FiberStack acquire(size_t size, bool *pooled);
 
     /** Return a stack for reuse (frees it past the retention cap). */
-    void release(char *stack, size_t size);
+    void release(FiberStack stack);
 
     /** Currently pooled (idle) stacks. */
     size_t pooled() const { return free_.size(); }
@@ -85,19 +113,13 @@ class StackPool
   private:
     StackPool() = default;
 
-    struct Entry
-    {
-        char *stack; ///< Usable base (guard page below).
-        size_t size; ///< Usable bytes.
-    };
-
-    static Entry mapStack(size_t size);
-    static void unmapStack(const Entry &e);
+    static FiberStack mapStack(size_t size);
+    static void unmapStack(const FiberStack &e);
 
     /** Retention cap: 64 × 256 KiB ≈ 16 MiB per worker thread. */
     static constexpr size_t kMaxRetained = 64;
 
-    std::vector<Entry> free_;
+    std::vector<FiberStack> free_;
 };
 
 /**
@@ -114,13 +136,11 @@ class FiberContext
      * Prepare a fresh context so the first swap() into it enters
      * @p entry(@p arg) on the given stack.
      *
-     * @param stack_base Lowest address of the fiber stack.
-     * @param stack_size Stack size in bytes.
+     * @param stack Fiber stack (and its TSan fiber) from StackPool.
      * @param entry Fiber entry point (must never return).
      * @param arg Opaque argument passed to @p entry.
      */
-    void prepare(void *stack_base, size_t stack_size, FiberEntry entry,
-                 void *arg);
+    void prepare(const FiberStack &stack, FiberEntry entry, void *arg);
 
     /**
      * Save the current context into @p from and resume @p to.
@@ -135,6 +155,10 @@ class FiberContext
     static void asanBeginSwitch(FiberContext &from, FiberContext &to);
     /** Second half, on arrival back in @p from. */
     static void asanEndSwitch(FiberContext &from);
+#endif
+#ifdef GOAT_TSAN_FIBERS
+    /** Announce the switch to TSan (immediately before the swap). */
+    static void tsanSwitch(FiberContext &from, FiberContext &to);
 #endif
 
   private:
@@ -151,6 +175,11 @@ class FiberContext
         own thread-stack context). */
     const void *asanBottom_ = nullptr;
     size_t asanSize_ = 0;
+#endif
+#ifdef GOAT_TSAN_FIBERS
+    /** TSan fiber of this context (the thread's own for the
+        scheduler's context, detected on its first switch). */
+    void *tsanFiber_ = nullptr;
 #endif
 };
 

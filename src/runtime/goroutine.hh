@@ -83,8 +83,7 @@ class Goroutine
 
     // Fiber machinery (owned by the Scheduler).
     FiberContext ctx;
-    char *stack = nullptr;
-    size_t stackSize = 0;
+    FiberStack stack;
 
     /**
      * Intrusive link for GoroutineQueue (sync-primitive wait queues).

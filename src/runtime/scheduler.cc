@@ -241,8 +241,8 @@ Scheduler::~Scheduler()
     // their non-trivial members need destroying.
     StackPool &pool = StackPool::forThread();
     for (Goroutine *g : goroutines_) {
-        if (g->stack)
-            pool.release(g->stack, g->stackSize);
+        if (g->stack.base)
+            pool.release(g->stack);
         g->~Goroutine();
     }
 }
@@ -425,11 +425,11 @@ Scheduler::goroutine(uint32_t gid)
     return goroutines_[gid - 1];
 }
 
-char *
+FiberStack
 Scheduler::allocStack()
 {
     bool pooled = false;
-    char *s = StackPool::forThread().acquire(cfg_.stackSize, &pooled);
+    FiberStack s = StackPool::forThread().acquire(cfg_.stackSize, &pooled);
     ++(pooled ? tallies_.stackPoolHits : tallies_.stackPoolMisses);
     return s;
 }
@@ -437,9 +437,9 @@ Scheduler::allocStack()
 void
 Scheduler::releaseStack(Goroutine *g)
 {
-    if (g->stack) {
-        StackPool::forThread().release(g->stack, g->stackSize);
-        g->stack = nullptr;
+    if (g->stack.base) {
+        StackPool::forThread().release(g->stack);
+        g->stack = {};
     }
 }
 
@@ -503,8 +503,7 @@ Scheduler::dispatch(Goroutine *g)
     if (!g->started) {
         g->started = true;
         g->stack = allocStack();
-        g->stackSize = cfg_.stackSize;
-        g->ctx.prepare(g->stack, g->stackSize, &fiberMainTrampoline, g);
+        g->ctx.prepare(g->stack, &fiberMainTrampoline, g);
         emit(trace::EventType::GoStart, g->creationLoc());
     }
     // One fiber_switch sample is the full dispatch round trip: swap

@@ -300,7 +300,7 @@ class Scheduler
     /** Advance the virtual clock to the next timer deadline. */
     void advanceClock();
 
-    char *allocStack();
+    FiberStack allocStack();
     void releaseStack(Goroutine *g);
 
     struct Timer
