@@ -88,7 +88,7 @@ supervisedLoss(const obs::LedgerEntry &e)
     return e.outcome == "crashed" || e.outcome == "timeout";
 }
 
-/** Reconstruct the iteration summary from a frozen/digest row. */
+/** Reconstruct the iteration summary from a frozen or shard row. */
 IterationOutcome
 ioFromRow(const obs::LedgerEntry &e)
 {
@@ -102,9 +102,8 @@ ioFromRow(const obs::LedgerEntry &e)
 }
 
 /**
- * The canonical fold's bookkeeping, shared by the threaded and
- * isolated drivers (the heavy material — saturation, iterations, bug
- * state — lives in the GoatResult being built).
+ * The canonical fold's bookkeeping (the heavy material — saturation,
+ * iterations, bug state — lives in the GoatResult being built).
  */
 struct FoldState
 {
@@ -130,71 +129,28 @@ struct FoldState
 };
 
 /**
- * One canonical fold step, shared by both drivers: OR iteration @p i's
- * coverage contribution into the merged state (@p orCoverage does the
- * OR; a loss row has none and inherits the cumulative state, so the
- * covered/req_total series stays monotone), sample saturation, stamp
- * and keep the ledger @p row (nullptr: no rows kept), push the slim
- * summary @p io, note progress, and apply the bug and stop rules.
- * A supervised loss (@p loss) is a bug that never stops the campaign.
- */
-template <typename OrCoverage>
-void
-foldStep(const CampaignConfig &cfg, FoldState &fs,
-         engine::GoatResult &result, int i, IterationOutcome io,
-         bool buggy, bool loss, obs::LedgerEntry *row,
-         OrCoverage &&orCoverage)
-{
-    const GoatConfig &ecfg = cfg.engine;
-    fs.cursor = i;
-    if (ecfg.collectCoverage || ecfg.coverageGuided) {
-        orCoverage(fs.merged);
-        io.coveragePct = fs.merged.percent();
-        result.finalCoverage = io.coveragePct;
-        // The saturation sample reads the canonical cumulative fold,
-        // so the series is identical for any worker count.
-        if (ecfg.collectCoverage)
-            result.saturation.sample(i, fs.merged);
-        if (cfg.progress)
-            cfg.progress->noteCoveragePermille(
-                static_cast<uint64_t>(io.coveragePct * 10.0));
-    }
-    if (buggy && !result.bugFound) {
-        result.bugFound = true;
-        result.bugIteration = i;
-    }
-    if (cfg.progress)
-        cfg.progress->noteIteration(static_cast<size_t>(io.dl.verdict),
-                                    buggy);
-    if (row) {
-        row->coveragePct = io.coveragePct;
-        if (ecfg.collectCoverage && io.coveragePct >= 0) {
-            row->satCovered =
-                static_cast<int64_t>(fs.merged.coveredCount());
-            row->satTotal =
-                static_cast<int64_t>(fs.merged.totalRequirements());
-        }
-        if (cfg.lintBridge)
-            row->staticWarnings = static_cast<int>(cfg.lint.size());
-        fs.rows.push_back(std::move(*row));
-    }
-    if (buggy && ecfg.stopOnBug && !loss)
-        fs.stopped = true;
-    else if (ecfg.collectCoverage && io.coveragePct >= ecfg.covThreshold)
-        fs.stopped = true;
-    result.iterations.push_back(std::move(io));
-}
-
-/**
- * Restore a parsed checkpoint into the fold: merged bitmap, saturation
- * series, frozen rows (their iteration summaries re-enter
+ * Restore the -resume checkpoint into the fold: merged bitmap,
+ * saturation series, frozen rows (their iteration summaries re-enter
  * result.iterations), tallies, and bug/race watermarks.
+ * @retval false when the resume failed (out.resumeError explains).
  */
-void
-restoreCheckpoint(const CheckpointData &ck, const CampaignConfig &cfg,
-                  FoldState &fs, engine::GoatResult &result,
+bool
+restoreCheckpoint(const CampaignConfig &cfg, FoldState &fs,
                   CampaignResult &out)
 {
+    CheckpointData ck;
+    std::string err;
+    if (!readCheckpointFile(cfg.resumePath, &ck, &err) ||
+        ck.fingerprint != configFingerprint(cfg)) {
+        out.resumeOk = false;
+        out.resumeError = !err.empty()
+                              ? err
+                              : "checkpoint fingerprint mismatch: " +
+                                    ck.fingerprint + " vs " +
+                                    configFingerprint(cfg);
+        return false;
+    }
+    engine::GoatResult &result = out.merged;
     fs.cursor = fs.lastCkpt = ck.cursor;
     fs.executed = ck.executed;
     fs.stopped = ck.stopped;
@@ -224,6 +180,7 @@ restoreCheckpoint(const CheckpointData &ck, const CampaignConfig &cfg,
         result.raceIteration = ck.raceIteration;
     out.resumed = true;
     out.resumeFrom = ck.cursor;
+    return true;
 }
 
 /** Snapshot the fold into a checkpoint file (atomic tmp+rename). */
@@ -304,16 +261,16 @@ materializeFirstBug(const CampaignConfig &cfg,
 }
 
 /**
- * The epilogue shared by both drivers: the last checkpoint, the
- * result tallies, first-bug rehydration, recipe recording and
- * minimization, prediction confirmation (@p recipes: threaded only),
- * the lint cross-check, ledger emission, and campaign-level metrics.
+ * The campaign's epilogue: the last checkpoint, the result tallies,
+ * first-bug rehydration, recipe recording and minimization, prediction
+ * confirmation (from @p recipes), the lint cross-check, ledger
+ * emission, and campaign-level metrics.
  */
 void
 finalizeCampaign(const CampaignConfig &cfg,
                  const std::function<void()> &program,
                  CampaignResult &out, FoldState &fs,
-                 const std::map<int, trace::Recipe> *recipes,
+                 const std::map<int, trace::Recipe> &recipes,
                  std::chrono::steady_clock::time_point campaign_t0)
 {
     using std::chrono::steady_clock;
@@ -323,8 +280,7 @@ finalizeCampaign(const CampaignConfig &cfg,
 
     if (!cfg.checkpointPath.empty() && fs.cursor != fs.lastCkpt)
         writeCheckpoint(cfg, fs, result, out);
-    if (interruptRequested())
-        out.interrupted = true;
+    out.interrupted = interruptRequested();
     if (out.interrupted)
         out.interruptSig = interruptSignal();
     out.cutoffIteration = fs.cursor;
@@ -336,9 +292,9 @@ finalizeCampaign(const CampaignConfig &cfg,
     out.timeouts = fs.timeouts;
     out.coverage = std::move(fs.merged);
 
-    // Bug/race material with no live capture (restored from a
-    // checkpoint, or folded from a shard digest) is rehydrated from the
-    // pure (config, iteration) function before the stages below use it.
+    // Bug/race material restored from a checkpoint has no live capture;
+    // it is rehydrated from the pure (config, iteration) function
+    // before the stages below use it.
     // Kept rows run 1..cursor, so the bug's row is found by index.
     obs::LedgerEntry *bug_row =
         result.bugFound && result.bugIteration >= 1 &&
@@ -392,12 +348,12 @@ finalizeCampaign(const CampaignConfig &cfg,
     // recipe seeds the synthesized schedules. The fold appended
     // predictions in ascending iteration order and kept exactly their
     // sources' recipes, so each group is the next contiguous span.
-    if (ecfg.predict && recipes) {
+    if (ecfg.predict) {
         auto &preds = out.predict.report.predictions;
         out.predict.confirmRecipes.assign(preds.size(),
                                           trace::Recipe());
         size_t idx = 0;
-        for (const auto &[src, recipe] : *recipes) {
+        for (const auto &[src, recipe] : recipes) {
             size_t end = idx;
             while (end < preds.size() && preds[end].iteration == src)
                 ++end;
@@ -472,7 +428,7 @@ finalizeCampaign(const CampaignConfig &cfg,
     parent.counter("campaign.iterations.discarded")
         .inc(static_cast<uint64_t>(out.discardedIterations));
     parent.gauge("campaign.workers").setMax(out.jobs);
-    if (ecfg.predict && recipes) {
+    if (ecfg.predict) {
         parent.counter("campaign.predictions")
             .inc(static_cast<uint64_t>(
                 out.predict.report.predictions.size()));
@@ -503,52 +459,24 @@ finalizeCampaign(const CampaignConfig &cfg,
     }
 }
 
-/**
- * The prologue shared by both drivers: clamp the worker count to the
- * budget and restore the -resume checkpoint into the fold.
- * @retval false when the resume failed (out.resumeError explains).
- */
-bool
-beginCampaign(const CampaignConfig &cfg, FoldState &fs, CampaignResult &out)
-{
-    out.jobs = std::clamp(cfg.jobs, 1, std::max(1, cfg.engine.maxIterations));
-    if (cfg.resumePath.empty())
-        return true;
-    CheckpointData ck;
-    std::string err;
-    if (!readCheckpointFile(cfg.resumePath, &ck, &err)) {
-        out.resumeOk = false;
-        out.resumeError = err;
-        return false;
-    }
-    if (ck.fingerprint != configFingerprint(cfg)) {
-        out.resumeOk = false;
-        out.resumeError = "checkpoint fingerprint mismatch: " +
-                          ck.fingerprint + " vs " + configFingerprint(cfg);
-        return false;
-    }
-    restoreCheckpoint(ck, cfg, fs, out.merged, out);
-    return true;
-}
-
-// ------------------------------------------------------------ threaded
+// -------------------------------------------------------------- driver
 
 /**
- * Everything one worker records about one executed iteration: the
+ * Everything a worker records about one executed iteration: the
  * fold-relevant digest of the run, whose trace is dropped after
  * analysis. A record lives from the end of its iteration to its fold
  * and is freed there, so at most the reorder window's W records exist
- * at once (one at jobs=1).
+ * at once (one at jobs=1 in-process). A shard's record crosses the
+ * pipe as a ShardDigest.
  */
 struct IterRecord
 {
     int iter = 0;
     uint64_t seed = 0;
-    runtime::ExecResult exec;
-    analysis::DeadlockReport dl;
+    /** The slim summary: outcome, steps, verdict and wall time. */
+    IterationOutcome io;
     /** dl.buggy() or watchdog; races are folded in canonically. */
     bool coreBug = false;
-    uint64_t wallMicros = 0;
     /** Executing worker and its per-worker iteration count (ledger). */
     int worker = 0, workerSeq = 0;
     /** This iteration's standalone coverage contribution (with -cov). */
@@ -565,28 +493,44 @@ struct IterRecord
     std::unique_ptr<SingleRun> bugRun;
     /** Its worker's first data races (with -race; else empty). */
     analysis::RaceReport races;
+    /** The row a shard built, or the supervisor for a lost iteration. */
+    std::unique_ptr<obs::LedgerEntry> shardRow;
 };
 
 /**
- * One worker: a private metrics registry (installed thread-locally for
- * the worker's lifetime, so the scheduler and engine bookkeeping of
- * this thread never touch another worker's instruments) and a private
- * cumulative coverage state (guided-policy food and threshold
+ * One worker, a thread or a shard process: a private metrics registry
+ * (installed thread-locally while it runs, so the scheduler and engine
+ * bookkeeping of this worker never touch another's instruments) and a
+ * private cumulative coverage state (guided-policy food and threshold
  * heuristic).
  */
 struct Worker
 {
-    Worker(const GoatConfig &cfg, int i) : id(i)
+    Worker(const GoatConfig &cfg, int i, bool wantRows)
+        : id(i), iterations(registry.counter("engine.iterations")),
+          bugs(registry.counter("engine.bugs_found")),
+          iterWall(registry.histogram(
+              "engine.iter_wall_us",
+              {100, 1'000, 10'000, 100'000, 1'000'000, 10'000'000}))
     {
         if (cfg.collectCoverage || cfg.coverageGuided)
-            localCov = CoverageState(cfg.staticModel);
+            covTemplate = localCov = CoverageState(cfg.staticModel);
+        if (wantRows)
+            prevSnap = registry.snapshot();
     }
 
     const int id;
     obs::Registry registry;
+    obs::Counter &iterations;
+    obs::Counter &bugs;
+    obs::Histogram &iterWall;
+    /** Registry state after the last iteration (ledger only). */
+    obs::Snapshot prevSnap;
     /** Private stage profiler (installed thread-locally when on). */
     obs::Profiler profiler;
     CoverageState localCov;
+    /** The static requirement universe, copied per iteration. */
+    CoverageState covTemplate;
     /** Iterations executed so far (the ledger's wseq). */
     int seq = 0;
     bool bugSeen = false;
@@ -601,32 +545,37 @@ struct Slot
 };
 
 /**
- * One threaded campaign: the canonical fold and, at jobs > 1, the
- * bounded reorder window between the workers and the folder.
+ * One campaign: the canonical fold and the bounded reorder window that
+ * feeds it, a ring of `width` slots indexed by iteration % width that
+ * the campaign thread folds in canonical order. Iteration i starts only
+ * once i <= cursor + width, so its slot is free when it publishes and
+ * at most `width` records exist at once.
  *
- * Workers publish records into a ring of `width` slots indexed by
- * iteration % width, and the campaign thread folds them in canonical
- * order. A worker starts iteration i only once i <= cursor + width, so
- * the slot of i has been consumed by the time i publishes and at most
- * `width` records exist at once. The hot path makes no syscall: a
- * publisher wakes the folder only on the iteration the folder declared
- * it sleeps for, and the folder wakes blocked workers once per drained
- * batch. No wake is lost: each side stores its own word (a slot's
- * iteration, the cursor) and then loads the other's declaration
- * (wakeAt, workersWaiting), all seq_cst, while a sleeper declares
- * itself and checks its predicate under the mutex the waker takes to
- * notify. At jobs = 1 the worker folds inline and there is no window.
+ * Threads claim iterations from one counter and wait for the window
+ * themselves. The hot path makes no syscall: a publisher wakes the
+ * folder only on the iteration the folder declared it sleeps for, and
+ * the folder wakes blocked workers once per drained batch. No wake is
+ * lost: each side stores its own word (a slot's iteration, the cursor)
+ * and then loads the other's declaration (wakeAt, workersWaiting), all
+ * seq_cst, while a sleeper declares itself and checks its predicate
+ * under the mutex the waker takes to notify. At jobs = 1 the worker
+ * folds inline and there is no window.
+ *
+ * Shards (-isolate) run a static partition in forked processes and
+ * hold credit instead: the supervisor grants each shard "start
+ * iterations <= cursor + width" over its control pipe, and the
+ * campaign thread drops each digest it receives into the same ring.
  */
-struct Threaded
+struct Driver
 {
     /** Continue the (possibly restored) fold @p f with @p jobs workers. */
-    Threaded(const CampaignConfig &c, const std::function<void()> &p,
-             CampaignResult &o, FoldState &&f, int jobs)
+    Driver(const CampaignConfig &c, const std::function<void()> &p,
+           CampaignResult &o, FoldState &&f, int jobs)
         : cfg(c), program(p), out(o), fs(std::move(f)),
           wantRows(!c.engine.ledgerPath.empty() ||
                    !c.checkpointPath.empty() || !c.resumePath.empty()),
           next(fs.cursor + 1), stopAt(c.engine.maxIterations),
-          width(jobs > 1 ? kWindowPerWorker * jobs : 0),
+          width(c.isolate || jobs > 1 ? kWindowPerWorker * jobs : 0),
           slots(width ? new Slot[static_cast<size_t>(width)] : nullptr),
           cursor(fs.cursor), live(jobs)
     {
@@ -640,9 +589,12 @@ struct Threaded
         return slot(iter).iter.load(std::memory_order_seq_cst) == iter;
     }
 
+    obs::LedgerEntry rowOf(IterRecord &rec) const;
     void consume(IterRecord &&rec);
+    bool runIteration(Worker &w, int iter, IterRecord &rec);
     int claim();
     void publish(IterRecord &&rec);
+    bool drain();
     void foldLoop();
 
     const CampaignConfig &cfg;
@@ -688,17 +640,46 @@ struct Threaded
     std::condition_variable workerCv;
 };
 
+/** The ledger row of @p rec, as far as the record alone decides it. */
+obs::LedgerEntry
+Driver::rowOf(IterRecord &rec) const
+{
+    obs::LedgerEntry row;
+    row.iteration = rec.iter;
+    row.seed = rec.seed;
+    row.delayBound = cfg.engine.delayBound;
+    row.outcome = runtime::runOutcomeName(rec.io.exec.outcome);
+    row.verdict = analysis::verdictName(rec.io.dl.verdict);
+    row.bug = rec.coreBug;
+    row.steps = rec.io.exec.steps;
+    row.wallMicros = rec.io.wallMicros;
+    row.worker = rec.worker;
+    row.workerSeq = rec.workerSeq;
+    if (rec.profileDelta) {
+        row.hasProfile = true;
+        row.profileDelta = *rec.profileDelta;
+    }
+    row.metricsDelta = std::move(rec.metricsDelta);
+    return row;
+}
+
 /**
- * Count an executed record and fold it in canonical order, freeing it.
- * Overshoot past the canonical cut, or past a hole an interrupted
- * iteration left, is counted and dropped.
+ * Count an executed record and fold it in canonical order, freeing it:
+ * OR its coverage contribution into the merged state, sample
+ * saturation, build and keep the ledger row when rows are wanted, push
+ * the slim summary, note progress, apply the bug and stop rules, and
+ * checkpoint on cadence. Overshoot past the canonical cut, or past a
+ * hole an interrupted iteration left, is counted and dropped.
  */
 void
-Threaded::consume(IterRecord &&rec)
+Driver::consume(IterRecord &&rec)
 {
     const GoatConfig &ecfg = cfg.engine;
     engine::GoatResult &result = out.merged;
     ++fs.executed;
+    const bool loss = rec.shardRow && supervisedLoss(*rec.shardRow);
+    if (loss)
+        ++(rec.shardRow->outcome == "timeout" ? fs.timeouts : fs.crashes);
     if (rec.profileDelta)
         out.executedProfile.mergeFrom(*rec.profileDelta);
     if (fs.stopped || rec.iter != fs.cursor + 1)
@@ -706,7 +687,7 @@ Threaded::consume(IterRecord &&rec)
 
     const int i = rec.iter;
     std::unique_ptr<obs::ScopedProfiler> prof_scope;
-    if (ecfg.profile) {
+    if (rec.profileDelta) {
         prof_scope = std::make_unique<obs::ScopedProfiler>(mergeProfiler);
         result.profile.mergeFrom(*rec.profileDelta);
     }
@@ -721,6 +702,7 @@ Threaded::consume(IterRecord &&rec)
         result.raceIteration = i;
     }
     const bool buggy = rec.coreBug || race;
+    const bool first_bug = buggy && !result.bugFound;
 
     // Keep the first instance of each prediction's stable key — the
     // same dedup a sequential pass over the traces would perform.
@@ -737,55 +719,176 @@ Threaded::consume(IterRecord &&rec)
     if (kept)
         recipes.emplace(i, std::move(rec.recipe));
 
-    // The worker that executed the canonical first detection
-    // necessarily captured it as its own first bug.
-    if (buggy && !result.bugFound && rec.bugRun) {
-        SingleRun &sr = *rec.bugRun;
-        engine::finalizeRecipe(sr);
-        sr.recipe.kernel = cfg.programName;
-        result.report =
-            analysis::deadlockReportStr(sr.ect, *sr.tree, sr.dl);
-        result.firstBug = std::move(sr.dl);
-        result.firstBugExec = std::move(sr.exec);
-        result.firstBugEct = std::move(sr.ect);
-        result.firstBugRecipe = std::move(sr.recipe);
-    }
-
     obs::LedgerEntry row;
-    if (wantRows) {
-        row.iteration = i;
-        row.seed = rec.seed;
-        row.delayBound = ecfg.delayBound;
-        row.outcome = runtime::runOutcomeName(rec.exec.outcome);
-        row.verdict = analysis::verdictName(rec.dl.verdict);
+    if (wantRows || (first_bug && !rec.bugRun)) {
+        row = rec.shardRow ? std::move(*rec.shardRow) : rowOf(rec);
         row.bug = buggy;
-        row.steps = rec.exec.steps;
-        row.wallMicros = rec.wallMicros;
-        row.worker = rec.worker;
-        row.workerSeq = rec.workerSeq;
-        if (ecfg.profile) {
-            row.hasProfile = true;
-            row.profileDelta = *rec.profileDelta;
-        }
         if (ecfg.predict)
             row.predicted = predicted;
-        row.metricsDelta = std::move(rec.metricsDelta);
     }
 
-    IterationOutcome io;
-    io.exec.outcome = rec.exec.outcome;
-    io.exec.steps = rec.exec.steps;
-    io.dl.verdict = rec.dl.verdict;
-    io.wallMicros = rec.wallMicros;
-    foldStep(cfg, fs, result, i, std::move(io), buggy, false,
-             wantRows ? &row : nullptr, [&](CoverageState &merged) {
-                 if (rec.cov)
-                     merged.mergeFrom(*rec.cov);
-             });
+    // The worker thread that executed the canonical first detection
+    // necessarily captured it as its own first bug; a shard's bug
+    // crossed the pipe as a row and is rehydrated from it.
+    if (first_bug) {
+        if (rec.bugRun) {
+            SingleRun &sr = *rec.bugRun;
+            engine::finalizeRecipe(sr);
+            sr.recipe.kernel = cfg.programName;
+            result.report =
+                analysis::deadlockReportStr(sr.ect, *sr.tree, sr.dl);
+            result.firstBug = std::move(sr.dl);
+            result.firstBugExec = std::move(sr.exec);
+            result.firstBugEct = std::move(sr.ect);
+            result.firstBugRecipe = std::move(sr.recipe);
+        } else {
+            materializeFirstBug(cfg, program, row, result);
+        }
+        result.bugFound = true;
+        result.bugIteration = i;
+    }
+
+    fs.cursor = i;
+    IterationOutcome &io = rec.io;
+    if (ecfg.collectCoverage || ecfg.coverageGuided) {
+        // A loss has no contribution and inherits the cumulative state,
+        // so the covered/req_total series stays monotone.
+        if (rec.cov)
+            fs.merged.mergeFrom(*rec.cov);
+        io.coveragePct = fs.merged.percent();
+        result.finalCoverage = io.coveragePct;
+        // The saturation sample reads the canonical cumulative fold,
+        // so the series is identical for any worker count.
+        if (ecfg.collectCoverage)
+            result.saturation.sample(i, fs.merged);
+        if (cfg.progress)
+            cfg.progress->noteCoveragePermille(
+                static_cast<uint64_t>(io.coveragePct * 10.0));
+    }
+    if (cfg.progress)
+        cfg.progress->noteIteration(static_cast<size_t>(io.dl.verdict),
+                                    buggy);
+    if (wantRows) {
+        row.coveragePct = io.coveragePct;
+        if (ecfg.collectCoverage && io.coveragePct >= 0) {
+            row.satCovered =
+                static_cast<int64_t>(fs.merged.coveredCount());
+            row.satTotal =
+                static_cast<int64_t>(fs.merged.totalRequirements());
+        }
+        if (cfg.lintBridge)
+            row.staticWarnings = static_cast<int>(cfg.lint.size());
+        fs.rows.push_back(std::move(row));
+    }
+    // A supervised loss is a bug that never stops the campaign: the
+    // supervisor's whole point is that the campaign continues past it.
+    if (buggy && ecfg.stopOnBug && !loss)
+        fs.stopped = true;
+    else if (ecfg.collectCoverage && io.coveragePct >= ecfg.covThreshold)
+        fs.stopped = true;
+    result.iterations.push_back(std::move(io));
 
     if (!cfg.checkpointPath.empty() && !fs.stopped &&
         fs.cursor - fs.lastCkpt >= std::max(1, cfg.checkpointEvery))
         writeCheckpoint(cfg, fs, result, out);
+}
+
+/**
+ * The per-iteration body of every worker, thread or shard: run
+ * iteration @p iter, fold its coverage into the worker's own state,
+ * broadcast what that proves about the canonical stop, and fill @p rec.
+ * @retval false when an interrupt cut the run short (no record).
+ */
+bool
+Driver::runIteration(Worker &w, int iter, IterRecord &rec)
+{
+    using std::chrono::steady_clock;
+    const GoatConfig &ecfg = cfg.engine;
+
+    auto t0 = steady_clock::now();
+    SingleRun sr =
+        engine::runCampaignIteration(ecfg, program, iter, &w.localCov);
+    if (sr.exec.interrupted)
+        return false; // cut short mid-run: drop the partial record
+
+    rec.iter = iter;
+    rec.seed = engine::campaignIterationSeed(ecfg.seedBase, iter);
+    rec.io.exec.outcome = sr.exec.outcome;
+    rec.io.exec.steps = sr.exec.steps;
+    rec.io.dl.verdict = sr.dl.verdict;
+    rec.coreBug =
+        sr.dl.buggy() || sr.exec.outcome == RunOutcome::StepBudget;
+    rec.worker = w.id;
+    rec.workerSeq = ++w.seq;
+    w.iterations.inc();
+
+    if (ecfg.predict) {
+        rec.predictions = analysis::predictBlockingBugs(sr.ect);
+        rec.recipe = sr.recipe;
+    }
+
+    if (ecfg.collectCoverage || ecfg.coverageGuided) {
+        // Fold the trace once, reusing the run's tree; the worker's
+        // cumulative state takes the result by union, which equals
+        // folding the trace into it directly.
+        rec.cov = std::make_unique<CoverageState>(w.covTemplate);
+        rec.cov->addEct(sr.ect, *sr.tree);
+        w.localCov.mergeFrom(*rec.cov);
+        // The worker's cumulative coverage is a subset of the merged
+        // coverage at this iteration, so reaching the threshold
+        // locally proves the canonical cutoff is <= iter.
+        if (ecfg.collectCoverage && w.localCov.percent() >= ecfg.covThreshold)
+            atomicMin(stopAt, iter);
+    }
+
+    if (ecfg.raceDetect && !w.raceSeen) {
+        rec.races = analysis::detectRaces(sr.ect);
+        w.raceSeen = rec.races.any();
+    }
+
+    rec.io.wallMicros = static_cast<uint64_t>(
+        std::chrono::duration_cast<std::chrono::microseconds>(
+            steady_clock::now() - t0)
+            .count());
+    w.iterWall.observe(rec.io.wallMicros);
+
+    if (logEnabled(LogLevel::Debug)) {
+        debugLog(strFormat(
+            "campaign: worker %d iter %d/%d seed=%llu outcome=%s "
+            "verdict=%s wall_us=%llu",
+            w.id, iter, ecfg.maxIterations,
+            static_cast<unsigned long long>(rec.seed),
+            runtime::runOutcomeName(rec.io.exec.outcome),
+            analysis::verdictName(rec.io.dl.verdict),
+            static_cast<unsigned long long>(rec.io.wallMicros)));
+    }
+
+    if (wantRows) {
+        obs::Snapshot snap = w.registry.snapshot();
+        rec.metricsDelta = snap.deltaFrom(w.prevSnap);
+        w.prevSnap = std::move(snap);
+    }
+
+    // Draining per iteration resets the sampling phase, so the delta
+    // (and under a deterministic clock, its histogram) is a pure
+    // function of the iteration — the canonical fold can fold deltas
+    // in iteration order, worker-count independent.
+    if (ecfg.profile)
+        rec.profileDelta =
+            std::make_unique<obs::ProfileSnapshot>(w.profiler.drain());
+
+    if ((rec.coreBug || rec.races.any()) && !w.bugSeen) {
+        w.bugSeen = true;
+        rec.bugRun = std::make_unique<SingleRun>(std::move(sr));
+        w.bugs.inc();
+        // The minimum over all workers' first-bug broadcasts is
+        // exactly the canonical first detection (each worker runs
+        // increasing indices, so its first bug is its minimum), so
+        // the watermark converges to it.
+        if (ecfg.stopOnBug)
+            atomicMin(stopAt, iter);
+    }
+    return true;
 }
 
 /**
@@ -794,7 +897,7 @@ Threaded::consume(IterRecord &&rec)
  * spent, past the stop watermark, or interrupted).
  */
 int
-Threaded::claim()
+Driver::claim()
 {
     if (interruptRequested())
         return 0; // drain: stop claiming
@@ -822,7 +925,7 @@ Threaded::claim()
 
 /** Hand a finished record to the fold (inline or via the window). */
 void
-Threaded::publish(IterRecord &&rec)
+Driver::publish(IterRecord &&rec)
 {
     if (!width) {
         heldPeak.store(1, std::memory_order_relaxed);
@@ -847,29 +950,40 @@ Threaded::publish(IterRecord &&rec)
 }
 
 /**
- * The folder (jobs > 1, on the campaign thread): drain every ready
- * record in canonical order, wake blocked workers, and sleep until a
- * batch of half the window is ready (or the head, when the batch
- * already is) or the last worker exits. Returns once the fold stops
- * or every worker has exited and the ready prefix is folded.
+ * Fold every ready record at the window's head in canonical order.
+ * @retval true when the cursor moved.
+ */
+bool
+Driver::drain()
+{
+    bool moved = false;
+    while (!fs.stopped && ready(fs.cursor + 1)) {
+        Slot &s = slot(fs.cursor + 1);
+        IterRecord rec = std::move(s.rec);
+        s.iter.store(0, std::memory_order_relaxed);
+        held.fetch_sub(1, std::memory_order_relaxed);
+        consume(std::move(rec));
+        if (fs.stopped)
+            atomicMin(stopAt, fs.cursor);
+        cursor.store(fs.cursor, std::memory_order_seq_cst);
+        moved = true;
+    }
+    return moved;
+}
+
+/**
+ * The folder (threads at jobs > 1, on the campaign thread): drain the
+ * ready prefix, wake blocked workers, and sleep until a batch of half
+ * the window is ready (or the head, when the batch already is) or the
+ * last worker exits. Returns once the fold stops or every worker has
+ * exited and the ready prefix is folded.
  */
 void
-Threaded::foldLoop()
+Driver::foldLoop()
 {
     for (;;) {
         const bool last = live.load(std::memory_order_seq_cst) == 0;
-        bool moved = false;
-        while (!fs.stopped && ready(fs.cursor + 1)) {
-            Slot &s = slot(fs.cursor + 1);
-            IterRecord rec = std::move(s.rec);
-            s.iter.store(0, std::memory_order_relaxed);
-            held.fetch_sub(1, std::memory_order_relaxed);
-            consume(std::move(rec));
-            if (fs.stopped)
-                atomicMin(stopAt, fs.cursor);
-            cursor.store(fs.cursor, std::memory_order_seq_cst);
-            moved = true;
-        }
+        const bool moved = drain();
         if ((moved || fs.stopped) &&
             workersWaiting.load(std::memory_order_seq_cst) > 0) {
             std::lock_guard<std::mutex> lk(mu);
@@ -891,174 +1005,122 @@ Threaded::foldLoop()
 }
 
 void
-workerLoop(Threaded &tc, Worker &w)
+workerLoop(Driver &d, Worker &w)
 {
-    using std::chrono::steady_clock;
-
-    const GoatConfig &cfg = tc.cfg.engine;
-    const bool measure_cov = cfg.collectCoverage || cfg.coverageGuided;
-
-    // Template for the per-iteration coverage states: the static
-    // requirement universe, built once and copied per iteration.
-    const CoverageState covTemplate =
-        measure_cov ? CoverageState(cfg.staticModel) : CoverageState();
-
     // Bind this thread's metrics to the worker's private registry for
     // the whole loop (covers the scheduler's per-run flush too).
     obs::ScopedRegistry scope(w.registry);
     std::unique_ptr<obs::ScopedProfiler> prof_scope;
-    if (cfg.profile)
+    if (d.cfg.engine.profile)
         prof_scope = std::make_unique<obs::ScopedProfiler>(w.profiler);
-    obs::Counter &iterations_total =
-        w.registry.counter("engine.iterations");
-    obs::Counter &bugs_total = w.registry.counter("engine.bugs_found");
-    obs::Histogram &iter_wall = w.registry.histogram(
-        "engine.iter_wall_us",
-        {100, 1'000, 10'000, 100'000, 1'000'000, 10'000'000});
-    obs::Snapshot prev_snap;
-    if (tc.wantRows)
-        prev_snap = w.registry.snapshot();
-
-    while (int iter = tc.claim()) {
-        auto t0 = steady_clock::now();
-        SingleRun sr = engine::runCampaignIteration(cfg, tc.program,
-                                                    iter, &w.localCov);
-        if (sr.exec.interrupted)
-            break; // cut short mid-run: drop the partial record
-
+    while (int iter = d.claim()) {
         IterRecord rec;
-        rec.iter = iter;
-        rec.seed = engine::campaignIterationSeed(cfg.seedBase, iter);
-        rec.exec = sr.exec;
-        rec.dl = sr.dl;
-        rec.coreBug = sr.dl.buggy() ||
-                      sr.exec.outcome == RunOutcome::StepBudget;
-        rec.worker = w.id;
-        rec.workerSeq = ++w.seq;
-        iterations_total.inc();
-
-        if (cfg.predict) {
-            rec.predictions = analysis::predictBlockingBugs(sr.ect);
-            rec.recipe = sr.recipe;
-        }
-
-        if (measure_cov) {
-            // Fold the trace once, reusing the run's tree; the
-            // worker's cumulative state takes the result by union,
-            // which equals folding the trace into it directly.
-            rec.cov = std::make_unique<CoverageState>(covTemplate);
-            rec.cov->addEct(sr.ect, *sr.tree);
-            w.localCov.mergeFrom(*rec.cov);
-            // The worker's cumulative coverage is a subset of the
-            // merged coverage at this iteration, so reaching the
-            // threshold locally proves the canonical cutoff is <= iter.
-            if (cfg.collectCoverage &&
-                w.localCov.percent() >= cfg.covThreshold)
-                atomicMin(tc.stopAt, iter);
-        }
-
-        if (cfg.raceDetect && !w.raceSeen) {
-            rec.races = analysis::detectRaces(sr.ect);
-            w.raceSeen = rec.races.any();
-        }
-
-        rec.wallMicros = static_cast<uint64_t>(
-            std::chrono::duration_cast<std::chrono::microseconds>(
-                steady_clock::now() - t0)
-                .count());
-        iter_wall.observe(rec.wallMicros);
-
-        if (logEnabled(LogLevel::Debug)) {
-            debugLog(strFormat(
-                "campaign: worker %d iter %d/%d seed=%llu outcome=%s "
-                "verdict=%s wall_us=%llu",
-                w.id, iter, cfg.maxIterations,
-                static_cast<unsigned long long>(rec.seed),
-                runtime::runOutcomeName(rec.exec.outcome),
-                analysis::verdictName(rec.dl.verdict),
-                static_cast<unsigned long long>(rec.wallMicros)));
-        }
-
-        if (tc.wantRows) {
-            obs::Snapshot snap = w.registry.snapshot();
-            rec.metricsDelta = snap.deltaFrom(prev_snap);
-            prev_snap = std::move(snap);
-        }
-
-        // Draining per iteration resets the sampling phase, so the
-        // delta (and under a deterministic clock, its histogram) is a
-        // pure function of the iteration — the canonical fold can
-        // fold deltas in iteration order, worker-count independent.
-        if (cfg.profile)
-            rec.profileDelta =
-                std::make_unique<obs::ProfileSnapshot>(w.profiler.drain());
-
-        if ((rec.coreBug || rec.races.any()) && !w.bugSeen) {
-            w.bugSeen = true;
-            rec.bugRun = std::make_unique<SingleRun>(std::move(sr));
-            bugs_total.inc();
-            // The minimum over all workers' first-bug broadcasts is
-            // exactly the canonical first detection (each worker
-            // claims increasing indices, so its first bug is its
-            // minimum), so the watermark converges to it.
-            if (cfg.stopOnBug)
-                atomicMin(tc.stopAt, iter);
-        }
-
-        tc.publish(std::move(rec));
+        if (!d.runIteration(w, iter, rec))
+            break;
+        d.publish(std::move(rec));
     }
 }
 
+/** The record a shard digest, or a synthesized loss, stands for. */
+IterRecord
+recordOf(ShardDigest &&d)
+{
+    IterRecord rec;
+    rec.iter = d.row.iteration;
+    rec.io = ioFromRow(d.row);
+    rec.coreBug = d.row.bug;
+    // The bitmap names every requirement the shard knew, so an empty
+    // state restored from it is the shard's contribution.
+    if (!d.covBitmap.empty()) {
+        rec.cov = std::make_unique<CoverageState>();
+        rec.cov->restoreBitmap(d.covBitmap);
+    }
+    rec.shardRow = std::make_unique<obs::LedgerEntry>(std::move(d.row));
+    return rec;
+}
+
+} // namespace
+
 /**
- * In-process driver: worker threads folding while they run. Records
- * reach the fold in canonical order — inline at jobs=1, through the
- * reorder window at jobs>1 — and the fold replays the sequential
- * engine's loop over them: coverage in iteration order, bug and
- * threshold stop semantics, and a cut exactly where -jobs=1 stops.
+ * One driver, two transports: records reach the fold in canonical
+ * order — inline at jobs=1 in-process, else through the reorder
+ * window, filled by worker threads or by supervised shards — and the
+ * fold replays the sequential engine's loop over them: coverage in
+ * iteration order, bug and threshold stop semantics, and a cut exactly
+ * where -jobs=1 stops.
  */
 CampaignResult
-runThreadedCampaign(const CampaignConfig &cfg,
-                    const std::function<void()> &program)
+runCampaign(const CampaignConfig &cfg,
+            const std::function<void()> &program)
 {
     auto campaign_t0 = std::chrono::steady_clock::now();
     const GoatConfig &ecfg = cfg.engine;
     CampaignResult out;
     FoldState fs(ecfg);
-    if (!beginCampaign(cfg, fs, out))
+    out.jobs = std::clamp(cfg.jobs, 1, std::max(1, ecfg.maxIterations));
+    if (!cfg.resumePath.empty() && !restoreCheckpoint(cfg, fs, out))
         return out;
     const int jobs = out.jobs;
-    Threaded tc(cfg, program, out, std::move(fs), jobs);
+    Driver d(cfg, program, out, std::move(fs), jobs);
     std::vector<std::unique_ptr<Worker>> workers;
-    for (int i = 0; i < jobs; ++i)
-        workers.push_back(std::make_unique<Worker>(ecfg, i));
-    if (!tc.fs.stopped && tc.fs.cursor < ecfg.maxIterations) {
-        if (jobs == 1) {
-            workerLoop(tc, *workers[0]);
-        } else {
-            std::vector<std::thread> threads;
-            for (auto &w : workers)
-                threads.emplace_back([&tc, &w]() {
-                    workerLoop(tc, *w);
-                    // The last exit wakes the folder for its final
-                    // drain.
-                    std::lock_guard<std::mutex> lk(tc.mu);
-                    if (tc.live.fetch_sub(1) == 1)
-                        tc.folderCv.notify_one();
-                });
-            tc.foldLoop();
-            for (auto &t : threads)
-                t.join();
-            // Overshoot past the cut and records past an interrupted
-            // hole still count as executed.
-            for (Slot *s = tc.slots.get(); s < tc.slots.get() + tc.width; ++s)
-                if (s->iter.load())
-                    tc.consume(std::move(s->rec));
-        }
+    if (!cfg.isolate)
+        for (int i = 0; i < jobs; ++i)
+            workers.push_back(
+                std::make_unique<Worker>(ecfg, i, d.wantRows));
+    const bool run = !d.fs.stopped && d.fs.cursor < ecfg.maxIterations;
+    if (run && cfg.isolate) {
+        // Each shard process runs the per-iteration body as its one
+        // worker; the digests enter the window on this thread.
+        ShardHooks hooks;
+        std::unique_ptr<Worker> worker; // the shard's, created post-fork
+        hooks.run = [&](int shard, int iter, int wseq, ShardDigest *o) {
+            if (!worker)
+                worker = std::make_unique<Worker>(ecfg, shard, d.wantRows);
+            Worker &w = *worker;
+            obs::ScopedRegistry scope(w.registry);
+            w.seq = wseq - 1;
+            IterRecord rec;
+            // Past the shard's own watermark the fold needs nothing.
+            if (iter > d.stopAt.load(std::memory_order_relaxed) ||
+                !d.runIteration(w, iter, rec))
+                return false;
+            if (rec.cov)
+                o->covBitmap = rec.cov->bitmapStr();
+            o->row = d.rowOf(rec);
+            return true;
+        };
+        hooks.fold = [&d](ShardDigest &&digest) {
+            d.publish(recordOf(std::move(digest)));
+            d.drain();
+        };
+        hooks.credit = [&d] { return d.fs.cursor + d.width; };
+        hooks.stopped = [&d] { return d.fs.stopped; };
+        d.fs.respawns += superviseCampaign(cfg, d.fs.cursor + 1, hooks);
+    } else if (run && jobs == 1) {
+        workerLoop(d, *workers[0]);
+    } else if (run) {
+        std::vector<std::thread> threads;
+        for (auto &w : workers)
+            threads.emplace_back([&d, &w]() {
+                workerLoop(d, *w);
+                // The last exit wakes the folder for its final drain.
+                std::lock_guard<std::mutex> lk(d.mu);
+                if (d.live.fetch_sub(1) == 1)
+                    d.folderCv.notify_one();
+            });
+        d.foldLoop();
+        for (auto &t : threads)
+            t.join();
     }
+    // Overshoot past the cut and records past an interrupted hole
+    // still count as executed.
+    for (Slot *s = d.slots.get(); s < d.slots.get() + d.width; ++s)
+        if (s->iter.load())
+            d.consume(std::move(s->rec));
     // The merge stage's scopes (consume installs their profiler only
     // around a fold, so the finalize replays never record into it).
     if (ecfg.profile) {
-        obs::ProfileSnapshot merge_delta = tc.mergeProfiler.drain();
+        obs::ProfileSnapshot merge_delta = d.mergeProfiler.drain();
         out.merged.profile.mergeFrom(merge_delta);
         out.executedProfile.mergeFrom(merge_delta);
     }
@@ -1071,81 +1133,10 @@ runThreadedCampaign(const CampaignConfig &cfg,
         out.workerMetrics.mergeFrom(s);
         parent.absorb(s);
     }
-    parent.gauge("campaign.window_peak").setMax(tc.heldPeak.load());
+    parent.gauge("campaign.window_peak").setMax(d.heldPeak.load());
 
-    finalizeCampaign(cfg, program, out, tc.fs, &tc.recipes, campaign_t0);
+    finalizeCampaign(cfg, program, out, d.fs, d.recipes, campaign_t0);
     return out;
-}
-
-// ------------------------------------------------------------ isolated
-
-/**
- * Isolated driver (-isolate): shards in forked children under the
- * supervisor; the parent folds shard digests in canonical iteration
- * order, so crashes and timeouts become classified ledger rows instead
- * of a dead campaign.
- */
-CampaignResult
-runIsolatedCampaign(const CampaignConfig &cfg,
-                    const std::function<void()> &program)
-{
-    auto campaign_t0 = std::chrono::steady_clock::now();
-    const GoatConfig &ecfg = cfg.engine;
-    CampaignResult out;
-    engine::GoatResult &result = out.merged;
-    FoldState fs(ecfg);
-    if (!beginCampaign(cfg, fs, out))
-        return out;
-
-    // Digests arrive in shard-completion order; buffer and fold the
-    // contiguous iteration prefix so every canonical consumer
-    // (coverage, saturation, stop semantics) sees sequential order.
-    std::map<int, ShardDigest> pending;
-
-    auto onEvent = [&](ShardEvent &&ev) {
-        pending.emplace(ev.iteration, std::move(ev.digest));
-        for (auto it = pending.find(fs.cursor + 1);
-             !fs.stopped && it != pending.end();
-             it = pending.find(fs.cursor + 1)) {
-            ShardDigest d = std::move(it->second);
-            pending.erase(it);
-            obs::LedgerEntry &row = d.row;
-            foldStep(cfg, fs, result, row.iteration, ioFromRow(row),
-                     row.bug, supervisedLoss(row), &row,
-                     [&](CoverageState &merged) {
-                         if (!d.covBitmap.empty())
-                             merged.restoreBitmap(d.covBitmap);
-                     });
-        }
-        if (!cfg.checkpointPath.empty() &&
-            (fs.cursor - fs.lastCkpt >= std::max(1, cfg.checkpointEvery) ||
-             fs.stopped))
-            writeCheckpoint(cfg, fs, result, out);
-    };
-
-    SuperviseOutcome so;
-    if (!fs.stopped && fs.cursor < ecfg.maxIterations)
-        so = superviseCampaign(cfg, program, fs.cursor + 1, onEvent,
-                               [&] { return fs.stopped; });
-    fs.executed += so.executed;
-    fs.respawns += so.respawns;
-    fs.crashes += so.crashes;
-    fs.timeouts += so.timeouts;
-
-    out.interrupted = so.interrupted;
-    finalizeCampaign(cfg, program, out, fs, nullptr, campaign_t0);
-    return out;
-}
-
-} // namespace
-
-CampaignResult
-runCampaign(const CampaignConfig &cfg,
-            const std::function<void()> &program)
-{
-    if (cfg.isolate)
-        return runIsolatedCampaign(cfg, program);
-    return runThreadedCampaign(cfg, program);
 }
 
 } // namespace goat::campaign

@@ -1,8 +1,8 @@
 /**
  * @file
  * Multi-worker campaign orchestration: fan a testing campaign's
- * iteration budget out across N worker threads and fold the results,
- * while they run, into exactly what a sequential campaign would have
+ * iteration budget out across N workers and fold the results, while
+ * they run, into exactly what a sequential campaign would have
  * produced.
  *
  * The paper's workflow is embarrassingly parallel — every perturbation
@@ -11,14 +11,18 @@
  * by running iterations concurrently while keeping the runtime itself
  * single-threaded: each worker owns a private Scheduler/engine stack
  * and a private obs::Registry (installed thread-locally via
- * ScopedRegistry). Workers coordinate through an atomic iteration
- * counter (work distribution), an atomic stop watermark (the early-stop
- * broadcast) and a bounded reorder window: each finished iteration's
- * record goes into a ring of kWindowPerWorker * N slots, the campaign
- * thread folds records in iteration order and frees them, and a worker
- * may start iteration i only once i is within the window of the fold's
- * cursor. Memory is therefore bounded by configuration, not campaign
- * length. At N = 1 the worker folds inline and there is no window.
+ * ScopedRegistry). One driver runs every campaign; its workers are
+ * threads, or with -isolate forked shard processes
+ * (campaign/supervisor.hh), and both run the same per-iteration body.
+ * Each finished iteration's record goes into a bounded reorder window
+ * of kWindowPerWorker * N slots, the campaign thread folds records in
+ * iteration order and frees them, and no worker starts iteration i
+ * before i is within the window of the fold's cursor: threads wait on
+ * the cursor, shards on credit the supervisor grants over a pipe.
+ * Threads share an atomic iteration counter (work distribution) and
+ * an atomic stop watermark (the early-stop broadcast). Memory is
+ * therefore bounded by configuration, not campaign length. At N = 1
+ * in-process the worker folds inline and there is no window.
  *
  * Determinism contract: a campaign's merged result is a pure function
  * of the configuration (notably -seed) and *independent of the worker
@@ -61,9 +65,10 @@
 namespace goat::campaign {
 
 /**
- * Reorder-window slots per worker: a jobs=N campaign (N > 1) holds at
- * most kWindowPerWorker * N iteration records at once, whatever its
- * length. Exported as the campaign.window_peak gauge.
+ * Reorder-window slots per worker: a jobs=N campaign (N > 1, or any N
+ * under -isolate) holds at most kWindowPerWorker * N iteration records
+ * at once, whatever its length. Exported as the campaign.window_peak
+ * gauge.
  */
 constexpr int kWindowPerWorker = 64;
 

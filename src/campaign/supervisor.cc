@@ -2,10 +2,15 @@
 
 #include <fcntl.h>
 #include <poll.h>
+#include <sys/mman.h>
 #include <sys/resource.h>
 #include <sys/wait.h>
 #include <unistd.h>
+#ifdef __linux__
+#include <sys/prctl.h>
+#endif
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <csignal>
@@ -21,7 +26,10 @@
 #include "base/logging.hh"
 #include "campaign/checkpoint.hh"
 #include "goat/engine.hh"
-#include "obs/metrics.hh"
+
+#ifdef __SANITIZE_ADDRESS__
+#include <sanitizer/common_interface_defs.h>
+#endif
 
 namespace goat::campaign {
 
@@ -55,22 +63,33 @@ writeAll(int fd, const void *data, size_t n)
     return true;
 }
 
+/** Store @p v little-endian at @p p (4 bytes). */
+void
+putLe32(char *p, uint32_t v)
+{
+    for (int i = 0; i < 4; ++i)
+        p[i] = static_cast<char>((v >> (8 * i)) & 0xff);
+}
+
+uint32_t
+getLe32(const char *p)
+{
+    uint32_t v = 0;
+    for (int i = 0; i < 4; ++i)
+        v |= static_cast<uint32_t>(static_cast<unsigned char>(p[i]))
+             << (8 * i);
+    return v;
+}
+
 /** Send one frame: 4-byte LE payload length, then type + body. */
 bool
 sendFrame(int fd, char type, const std::string &body)
 {
-    uint32_t len = static_cast<uint32_t>(body.size() + 1);
-    unsigned char hdr[4] = {
-        static_cast<unsigned char>(len & 0xff),
-        static_cast<unsigned char>((len >> 8) & 0xff),
-        static_cast<unsigned char>((len >> 16) & 0xff),
-        static_cast<unsigned char>((len >> 24) & 0xff),
-    };
-    if (!writeAll(fd, hdr, 4))
-        return false;
-    if (!writeAll(fd, &type, 1))
-        return false;
-    return body.empty() || writeAll(fd, body.data(), body.size());
+    char hdr[5];
+    putLe32(hdr, static_cast<uint32_t>(body.size() + 1));
+    hdr[4] = type;
+    return writeAll(fd, hdr, 5) &&
+           (body.empty() || writeAll(fd, body.data(), body.size()));
 }
 
 struct Frame
@@ -89,12 +108,7 @@ parseFrames(std::string &buf, std::vector<Frame> *out)
     for (;;) {
         if (buf.size() < 4)
             return true;
-        const unsigned char *h =
-            reinterpret_cast<const unsigned char *>(buf.data());
-        uint32_t len = static_cast<uint32_t>(h[0]) |
-                       static_cast<uint32_t>(h[1]) << 8 |
-                       static_cast<uint32_t>(h[2]) << 16 |
-                       static_cast<uint32_t>(h[3]) << 24;
+        uint32_t len = getLe32(buf.data());
         if (len == 0 || len > kMaxFrameLen) {
             buf.clear();
             return false;
@@ -112,24 +126,81 @@ parseFrames(std::string &buf, std::vector<Frame> *out)
 // --------------------------------------------------------------- child
 
 /**
+ * Take the parent's control messages until the shard's @p credit
+ * admits iteration @p iter: 'C' + a 4-byte LE iteration raises the
+ * credit, any other byte is the stop byte. Each message is one atomic
+ * pipe write, so reads of whole multiples of 5 bytes never split one.
+ * While the window is full the shard waits here, never watchdog-armed.
+ * @retval false on stop, EOF (the parent is gone) or an interrupt.
+ */
+bool
+awaitCredit(int ctl, int &credit, int iter)
+{
+    for (;;) {
+        char msg[5 * 64];
+        ssize_t n;
+        while ((n = ::read(ctl, msg, sizeof msg)) > 0)
+            for (ssize_t at = 0; at < n; at += 5) {
+                if (msg[at] != 'C' || n - at < 5)
+                    return false;
+                credit = static_cast<int>(getLe32(msg + at + 1));
+            }
+        if (n == 0 || (errno != EAGAIN && errno != EINTR) ||
+            interruptRequested())
+            return false;
+        if (iter <= credit)
+            return true;
+        struct pollfd p = {ctl, POLLIN, 0};
+        ::poll(&p, 1, 50);
+    }
+}
+
+#ifdef __SANITIZE_ADDRESS__
+/**
+ * AddressSanitizer's death path under -mem-limit: its shadow
+ * reservation already exceeds any RLIMIT_AS ceiling, so the runtime
+ * dies on its next mapping rather than failing an operator new. A
+ * death while no mapping fits is that breach.
+ */
+void
+oomOnSanitizerDeath()
+{
+    void *p = ::mmap(nullptr, 1 << 16, PROT_READ | PROT_WRITE,
+                     MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    if (p == MAP_FAILED)
+        _exit(kOomExitCode);
+    ::munmap(p, 1 << 16);
+}
+#endif
+
+/**
  * The shard body: run the owed iterations ((i - start) % jobs == id)
- * and ship one 'R' digest per iteration, bracketed by 'B' announcements
- * (the parent's watchdog anchor). Runs post-fork; exits, never returns.
+ * within the granted credit, and ship one 'R' digest per iteration,
+ * bracketed by 'B' announcements (the parent's watchdog anchor). Runs
+ * post-fork; exits, never returns.
  */
 [[noreturn]] void
-runShardChild(const CampaignConfig &cfg,
-              const std::function<void()> &program, int shard_id,
-              int start_iter, int stride, int start_wseq, int wr,
-              int ctl)
+runShardChild(const CampaignConfig &cfg, const ShardHooks &hooks,
+              int shard_id, int start_iter, int stride, int start_wseq,
+              int credit, pid_t parent, int wr, int ctl)
 {
+#ifdef __linux__
+    // A shard never outlives its supervisor, even a SIGKILLed one.
+    ::prctl(PR_SET_PDEATHSIG, SIGKILL);
+    if (::getppid() != parent)
+        _exit(0);
+#endif
     // The parent's pending SIGINT (if any) predates the fork; children
     // get their own flag, set fresh if the process group is signalled.
     clearInterrupt();
     ::signal(SIGPIPE, SIG_IGN);
+    // A crash is classified by the signal that ends the shard, so a
+    // sanitizer's fatal-signal handler must not turn it into exit 1.
+    ::signal(SIGSEGV, SIG_DFL);
+    ::signal(SIGBUS, SIG_DFL);
     int fl = ::fcntl(ctl, F_GETFL, 0);
     ::fcntl(ctl, F_SETFL, fl | O_NONBLOCK);
 
-    const engine::GoatConfig &ecfg = cfg.engine;
     if (cfg.memLimitMB > 0) {
         struct rlimit rl;
         rl.rlim_cur = rl.rlim_max =
@@ -138,82 +209,21 @@ runShardChild(const CampaignConfig &cfg,
         // operator new failing under the limit exits with the OOM
         // marker instead of throwing into arbitrary kernel code.
         std::set_new_handler([] { _exit(kOomExitCode); });
+#ifdef __SANITIZE_ADDRESS__
+        __sanitizer_set_death_callback(oomOnSanitizerDeath);
+#endif
     }
 
-    // A fresh registry: the parent's instruments stay untouched, and
-    // per-iteration deltas ride the digest as pre-rendered JSON.
-    obs::Registry reg;
-    obs::ScopedRegistry scoped(reg);
-    obs::Counter &iterations_total = reg.counter("engine.iterations");
-    obs::Counter &bugs_total = reg.counter("engine.bugs_found");
-    obs::Histogram &iter_wall = reg.histogram(
-        "engine.iter_wall_us",
-        {100, 1'000, 10'000, 100'000, 1'000'000, 10'000'000});
-    obs::Snapshot prev = reg.snapshot();
-
-    const bool measure_cov =
-        ecfg.collectCoverage || ecfg.coverageGuided;
-    const analysis::CoverageState covTemplate =
-        measure_cov ? analysis::CoverageState(ecfg.staticModel)
-                    : analysis::CoverageState();
-    // The guided policy's cumulative coverage, folded per iteration
-    // exactly as a threaded worker folds its own.
-    analysis::CoverageState localCov =
-        ecfg.coverageGuided ? analysis::CoverageState(ecfg.staticModel)
-                            : analysis::CoverageState();
-
     int wseq = start_wseq;
-    for (int iter = start_iter; iter <= ecfg.maxIterations;
+    for (int iter = start_iter; iter <= cfg.engine.maxIterations;
          iter += stride) {
-        char b;
-        ssize_t n = ::read(ctl, &b, 1);
-        if (n >= 0)
-            break; // stop byte, or EOF: the parent is gone
-        if (interruptRequested())
+        if (!awaitCredit(ctl, credit, iter))
             break;
-
         if (!sendFrame(wr, 'B', strFormat("%d", iter)))
             break;
-
-        auto t0 = steady_clock::now();
-        engine::SingleRun sr = engine::runCampaignIteration(
-            ecfg, program, iter, &localCov);
-        if (sr.exec.interrupted)
-            break;
-        iterations_total.inc();
-
         ShardDigest d;
-        obs::LedgerEntry &e = d.row;
-        e.iteration = iter;
-        e.seed = engine::campaignIterationSeed(ecfg.seedBase, iter);
-        e.delayBound = ecfg.delayBound;
-        e.outcome = runtime::runOutcomeName(sr.exec.outcome);
-        e.verdict = analysis::verdictName(sr.dl.verdict);
-        e.bug = sr.dl.buggy() ||
-                sr.exec.outcome == runtime::RunOutcome::StepBudget;
-        e.steps = sr.exec.steps;
-        e.wallMicros = static_cast<uint64_t>(
-            std::chrono::duration_cast<std::chrono::microseconds>(
-                steady_clock::now() - t0)
-                .count());
-        e.worker = shard_id;
-        e.workerSeq = wseq++;
-        if (e.bug)
-            bugs_total.inc();
-        iter_wall.observe(e.wallMicros);
-        obs::Snapshot snap = reg.snapshot();
-        e.metricsJson = snap.deltaFrom(prev).jsonStr();
-        prev = std::move(snap);
-
-        if (measure_cov) {
-            analysis::CoverageState cov(covTemplate);
-            cov.addEct(sr.ect, *sr.tree);
-            d.covBitmap = cov.bitmapStr();
-            if (ecfg.coverageGuided)
-                localCov.mergeFrom(cov);
-        }
-
-        if (!sendFrame(wr, 'R', digestToString(d)))
+        if (!hooks.run(shard_id, iter, wseq++, &d) ||
+            !sendFrame(wr, 'R', digestToString(d)))
             break;
     }
     sendFrame(wr, 'D', "");
@@ -245,10 +255,12 @@ struct ShardProc
     /** wseq the next iteration gets (survives respawns: the ledger
      * validator holds per-worker wseq to be monotone). */
     int nextWseq = 1;
+    /** The highest iteration this shard may start (last grant). */
+    int credit = 0;
     int respawnsUsed = 0;
+    /** Out of respawns: the owed iterations become losses. */
+    bool exhausted = false;
     bool done = false;
-    /** The child announced a graceful finish. */
-    bool doneFrame = false;
     /** read() hit EOF on the digest pipe. */
     bool rdEof = false;
 };
@@ -256,12 +268,11 @@ struct ShardProc
 void
 closeShardFds(ShardProc &sp)
 {
-    if (sp.rd >= 0)
-        ::close(sp.rd);
-    if (sp.wr >= 0)
-        ::close(sp.wr);
-    sp.rd = -1;
-    sp.wr = -1;
+    for (int *fd : {&sp.rd, &sp.wr}) {
+        if (*fd >= 0)
+            ::close(*fd);
+        *fd = -1;
+    }
 }
 
 /**
@@ -270,10 +281,11 @@ closeShardFds(ShardProc &sp)
  * own shard's lifetime.
  */
 bool
-spawnShard(const CampaignConfig &cfg,
-           const std::function<void()> &program,
+spawnShard(const CampaignConfig &cfg, const ShardHooks &hooks,
            std::vector<ShardProc> &shards, ShardProc &sp)
 {
+    sp.credit = hooks.credit();
+    const pid_t parent = ::getpid();
     int data[2];
     int ctl[2];
     if (::pipe(data) != 0)
@@ -285,10 +297,8 @@ spawnShard(const CampaignConfig &cfg,
     }
     pid_t pid = ::fork();
     if (pid < 0) {
-        ::close(data[0]);
-        ::close(data[1]);
-        ::close(ctl[0]);
-        ::close(ctl[1]);
+        for (int fd : {data[0], data[1], ctl[0], ctl[1]})
+            ::close(fd);
         return false;
     }
     if (pid == 0) {
@@ -297,8 +307,8 @@ spawnShard(const CampaignConfig &cfg,
         for (ShardProc &other : shards)
             if (other.id != sp.id)
                 closeShardFds(other);
-        runShardChild(cfg, program, sp.id, sp.nextIter, sp.stride,
-                      sp.nextWseq, data[1], ctl[0]);
+        runShardChild(cfg, hooks, sp.id, sp.nextIter, sp.stride,
+                      sp.nextWseq, sp.credit, parent, data[1], ctl[0]);
         // not reached
     }
     ::close(data[1]);
@@ -312,30 +322,8 @@ spawnShard(const CampaignConfig &cfg,
     sp.inFlight = 0;
     sp.armed = false;
     sp.timedOut = false;
-    sp.doneFrame = false;
     sp.rdEof = false;
     return true;
-}
-
-/** Synthesize the loss row for a crashed/timed-out iteration. */
-ShardDigest
-lossDigest(const engine::GoatConfig &ecfg, const ShardProc &sp,
-           int iter, bool timeout, const std::string &cause)
-{
-    ShardDigest d;
-    obs::LedgerEntry &e = d.row;
-    e.iteration = iter;
-    e.seed = engine::campaignIterationSeed(ecfg.seedBase, iter);
-    e.delayBound = ecfg.delayBound;
-    e.outcome = timeout ? "timeout" : "crashed";
-    e.verdict = timeout ? "timeout" : "crash";
-    e.bug = true;
-    e.worker = sp.id;
-    e.workerSeq = sp.nextWseq;
-    if (!timeout)
-        e.crashCause = cause;
-    e.respawns = sp.respawnsUsed;
-    return d;
 }
 
 } // namespace
@@ -409,38 +397,26 @@ digestFromString(const std::string &text, ShardDigest *out)
     return true;
 }
 
-SuperviseOutcome
-superviseCampaign(const CampaignConfig &cfg,
-                  const std::function<void()> &program,
-                  int startIteration,
-                  const std::function<void(ShardEvent &&)> &onEvent,
-                  const std::function<bool()> &stopRequested)
+int
+superviseCampaign(const CampaignConfig &cfg, int startIteration,
+                  const ShardHooks &hooks)
 {
     const engine::GoatConfig &ecfg = cfg.engine;
-    SuperviseOutcome out;
+    int respawns = 0;
 
     // A shard dying mid-write must not take the supervisor with it.
     using SigHandler = void (*)(int);
     SigHandler old_pipe = ::signal(SIGPIPE, SIG_IGN);
 
-    int jobs = cfg.jobs < 1 ? 1 : cfg.jobs;
-    int remaining = ecfg.maxIterations - startIteration + 1;
-    if (remaining < 1)
-        remaining = 1;
-    if (jobs > remaining)
-        jobs = remaining;
-
+    const int jobs = std::clamp(
+        cfg.jobs, 1, std::max(1, ecfg.maxIterations - startIteration + 1));
     std::vector<ShardProc> shards(static_cast<size_t>(jobs));
     for (int c = 0; c < jobs; ++c) {
         ShardProc &sp = shards[static_cast<size_t>(c)];
         sp.id = c;
         sp.stride = jobs;
         sp.nextIter = startIteration + c;
-        if (sp.nextIter > ecfg.maxIterations) {
-            sp.done = true;
-            continue;
-        }
-        if (!spawnShard(cfg, program, shards, sp)) {
+        if (!spawnShard(cfg, hooks, shards, sp)) {
             warn("cannot fork campaign shard");
             sp.done = true;
         }
@@ -457,23 +433,47 @@ superviseCampaign(const CampaignConfig &cfg,
                 writeAll(sp.wr, &stop, 1);
     };
 
+    // Fold the synthesized row of a crashed/timed-out iteration.
     auto emitLoss = [&](ShardProc &sp, int iter, bool timeout,
                         const std::string &cause) {
-        ShardEvent ev;
-        ev.kind =
-            timeout ? ShardEvent::Kind::Timeout : ShardEvent::Kind::Crash;
-        ev.iteration = iter;
-        ev.shard = sp.id;
-        ev.cause = cause;
-        ev.digest = lossDigest(ecfg, sp, iter, timeout, cause);
-        ++out.executed;
-        if (timeout)
-            ++out.timeouts;
-        else
-            ++out.crashes;
-        onEvent(std::move(ev));
+        ShardDigest d;
+        obs::LedgerEntry &e = d.row;
+        e.iteration = iter;
+        e.seed = engine::campaignIterationSeed(ecfg.seedBase, iter);
+        e.delayBound = ecfg.delayBound;
+        e.outcome = timeout ? "timeout" : "crashed";
+        e.verdict = timeout ? "timeout" : "crash";
+        e.bug = true;
+        e.worker = sp.id;
+        e.workerSeq = sp.nextWseq;
+        if (!timeout)
+            e.crashCause = cause;
+        e.respawns = sp.respawnsUsed;
         sp.nextIter = iter + sp.stride;
         ++sp.nextWseq;
+        hooks.fold(std::move(d));
+    };
+
+    // An exhausted shard's owed iterations become losses as the window
+    // makes room for them.
+    auto oweLosses = [&](ShardProc &sp) {
+        while (!draining && !hooks.stopped() &&
+               sp.nextIter <= std::min(ecfg.maxIterations, hooks.credit()))
+            emitLoss(sp, sp.nextIter, false, "respawn_budget");
+        if (draining || hooks.stopped() || sp.nextIter > ecfg.maxIterations)
+            sp.done = true;
+    };
+
+    // A shard about to run its last granted iteration gets the window's
+    // current edge, so only a full window makes it wait.
+    auto grant = [&](ShardProc &sp) {
+        const int credit = hooks.credit();
+        if (credit <= sp.credit || sp.nextIter + sp.stride <= sp.credit)
+            return;
+        char msg[5] = {'C'};
+        putLe32(msg + 1, static_cast<uint32_t>(credit));
+        if (writeAll(sp.wr, msg, sizeof msg))
+            sp.credit = credit;
     };
 
     auto handleFrame = [&](ShardProc &sp, const Frame &f) {
@@ -488,25 +488,18 @@ superviseCampaign(const CampaignConfig &cfg,
             break;
         }
         case 'R': {
-            ShardEvent ev;
-            ev.kind = ShardEvent::Kind::Result;
-            ev.shard = sp.id;
-            if (!digestFromString(f.body, &ev.digest)) {
+            ShardDigest d;
+            if (!digestFromString(f.body, &d)) {
                 warn(strFormat("shard %d sent a malformed digest",
                                sp.id));
                 break;
             }
-            ev.iteration = ev.digest.row.iteration;
-            sp.inFlight = 0;
-            sp.armed = false;
-            sp.nextIter = ev.iteration + sp.stride;
-            sp.nextWseq = ev.digest.row.workerSeq + 1;
-            ++out.executed;
-            onEvent(std::move(ev));
-            break;
+            sp.nextIter = d.row.iteration + sp.stride;
+            sp.nextWseq = d.row.workerSeq + 1;
+            hooks.fold(std::move(d));
+            [[fallthrough]];
         }
         case 'D':
-            sp.doneFrame = true;
             sp.inFlight = 0;
             sp.armed = false;
             break;
@@ -520,18 +513,14 @@ superviseCampaign(const CampaignConfig &cfg,
         if (sp.rd < 0 || sp.rdEof)
             return;
         char buf[1 << 16];
-        for (;;) {
-            ssize_t n = ::read(sp.rd, buf, sizeof buf);
-            if (n > 0) {
+        ssize_t n;
+        while ((n = ::read(sp.rd, buf, sizeof buf)) != 0) {
+            if (n > 0)
                 sp.buf.append(buf, static_cast<size_t>(n));
-                continue;
-            }
-            if (n == 0)
-                sp.rdEof = true;
-            else if (errno == EINTR)
-                continue;
-            break; // EAGAIN, EOF, or error: parsed below
+            else if (errno != EINTR)
+                break; // EAGAIN or an error: parsed below
         }
+        sp.rdEof = n == 0;
         std::vector<Frame> frames;
         if (!parseFrames(sp.buf, &frames))
             warn(strFormat("shard %d digest stream corrupt", sp.id));
@@ -539,68 +528,45 @@ superviseCampaign(const CampaignConfig &cfg,
             handleFrame(sp, f);
     };
 
-    auto anyLive = [&] {
-        for (const ShardProc &sp : shards)
-            if (!sp.done)
-                return true;
-        return false;
-    };
-
-    while (anyLive()) {
-        if (stopRequested())
+    while (std::any_of(shards.begin(), shards.end(),
+                       [](const ShardProc &sp) { return !sp.done; })) {
+        if (hooks.stopped() || interruptRequested())
             broadcastStop();
-        if (interruptRequested()) {
-            out.interrupted = true;
-            broadcastStop();
-        }
+        for (ShardProc &sp : shards)
+            if (sp.exhausted && !sp.done)
+                oweLosses(sp);
+        for (ShardProc &sp : shards)
+            if (!sp.done && !draining && sp.wr >= 0)
+                grant(sp);
 
         // Poll timeout: the nearest watchdog deadline, else a coarse
         // tick (also the reap/interrupt poll cadence).
-        int timeout_ms = 200;
+        int64_t timeout_ms = 200;
         auto now = steady_clock::now();
-        for (const ShardProc &sp : shards) {
-            if (sp.done || !sp.armed)
-                continue;
-            auto left = std::chrono::duration_cast<
-                            std::chrono::milliseconds>(sp.deadline - now)
-                            .count();
-            if (left < 0)
-                left = 0;
-            if (left < timeout_ms)
-                timeout_ms = static_cast<int>(left);
-        }
+        for (const ShardProc &sp : shards)
+            if (!sp.done && sp.armed)
+                timeout_ms = std::clamp<int64_t>(
+                    std::chrono::duration_cast<std::chrono::milliseconds>(
+                        sp.deadline - now)
+                        .count(),
+                    0, timeout_ms);
 
+        // A closed pipe polls as -1, which poll(2) skips; with none
+        // left it just sleeps out the tick.
         std::vector<struct pollfd> pfds;
-        std::vector<ShardProc *> pfd_owner;
-        for (ShardProc &sp : shards) {
-            if (sp.done || sp.rd < 0 || sp.rdEof)
-                continue;
-            pfds.push_back({sp.rd, POLLIN, 0});
-            pfd_owner.push_back(&sp);
-        }
-        if (!pfds.empty()) {
-            int pr = ::poll(pfds.data(),
-                            static_cast<nfds_t>(pfds.size()),
-                            timeout_ms);
-            if (pr > 0) {
-                for (size_t i = 0; i < pfds.size(); ++i)
-                    if (pfds[i].revents &
-                        (POLLIN | POLLHUP | POLLERR))
-                        pumpShard(*pfd_owner[i]);
-            }
-        } else {
-            std::this_thread::sleep_for(
-                std::chrono::milliseconds(timeout_ms));
-        }
+        for (const ShardProc &sp : shards)
+            pfds.push_back({sp.rdEof ? -1 : sp.rd, POLLIN, 0});
+        if (::poll(pfds.data(), pfds.size(), static_cast<int>(timeout_ms)) > 0)
+            for (size_t i = 0; i < pfds.size(); ++i)
+                if (pfds[i].revents & (POLLIN | POLLHUP | POLLERR))
+                    pumpShard(shards[i]);
 
         // Watchdogs: a shard past its per-iteration deadline is gone
         // as far as the campaign is concerned — SIGKILL it and let the
         // reap sweep below classify the loss.
         now = steady_clock::now();
         for (ShardProc &sp : shards) {
-            if (sp.done || !sp.armed || sp.pid < 0)
-                continue;
-            if (now >= sp.deadline) {
+            if (!sp.done && sp.armed && sp.pid >= 0 && now >= sp.deadline) {
                 sp.timedOut = true;
                 sp.armed = false;
                 ::kill(sp.pid, SIGKILL);
@@ -645,7 +611,7 @@ superviseCampaign(const CampaignConfig &cfg,
             // Respawn (bounded): the shard continues at the next owed
             // iteration with a fresh process.
             ++sp.respawnsUsed;
-            ++out.respawns;
+            ++respawns;
             if (cfg.progress)
                 cfg.progress->respawns.fetch_add(
                     1, std::memory_order_relaxed);
@@ -654,29 +620,22 @@ superviseCampaign(const CampaignConfig &cfg,
                     "shard %d exhausted its respawn budget (%d); "
                     "recording its remaining iterations as crashes",
                     sp.id, cfg.maxRespawns));
-                while (sp.nextIter <= ecfg.maxIterations &&
-                       !stopRequested())
-                    emitLoss(sp, sp.nextIter, false, "respawn_budget");
-                sp.done = true;
+                sp.exhausted = true;
+                oweLosses(sp);
                 continue;
             }
-            int shift = sp.respawnsUsed - 1;
-            if (shift > 5)
-                shift = 5;
-            std::this_thread::sleep_for(
-                std::chrono::milliseconds(50LL << shift));
+            std::this_thread::sleep_for(std::chrono::milliseconds(
+                50LL << std::min(sp.respawnsUsed - 1, 5)));
             if (logEnabled(LogLevel::Debug))
                 debugLog(strFormat(
                     "supervisor: respawning shard %d at iteration %d "
                     "(respawn %d, cause %s)",
                     sp.id, sp.nextIter, sp.respawnsUsed,
                     cause.c_str()));
-            if (!spawnShard(cfg, program, shards, sp)) {
+            if (!spawnShard(cfg, hooks, shards, sp)) {
                 warn("cannot respawn campaign shard");
-                while (sp.nextIter <= ecfg.maxIterations &&
-                       !stopRequested())
-                    emitLoss(sp, sp.nextIter, false, "respawn_budget");
-                sp.done = true;
+                sp.exhausted = true;
+                oweLosses(sp);
             }
         }
     }
@@ -684,7 +643,7 @@ superviseCampaign(const CampaignConfig &cfg,
     for (ShardProc &sp : shards)
         closeShardFds(sp);
     ::signal(SIGPIPE, old_pipe);
-    return out;
+    return respawns;
 }
 
 } // namespace goat::campaign

@@ -1,16 +1,17 @@
 /**
  * @file
- * Campaign process isolation (-isolate): run the iteration shards in
- * forked child processes under a parent supervisor, so an iteration
- * that segfaults, aborts, runs away on memory, or livelocks takes
- * down only its shard — the supervisor classifies the loss, records
- * it as a crash/timeout ledger row with a replayable seeded-policy
- * recipe, respawns the shard, and the campaign continues.
+ * The shard transport of the campaign driver (-isolate): run the
+ * iterations in forked child processes under a parent supervisor, so
+ * an iteration that segfaults, aborts, runs away on memory, or
+ * livelocks takes down only its shard — the supervisor classifies the
+ * loss, records it as a crash/timeout ledger row with a replayable
+ * seeded-policy recipe, respawns the shard, and the campaign
+ * continues. Each shard runs the driver's per-iteration body; each
+ * digest enters the driver's reorder window and fold (campaign.cc).
  *
  * Topology: jobs shards; shard c owns the iterations with
- * (i - start) % jobs == c, a static partition — deterministic content
- * per iteration (seed partitioning) makes placement irrelevant to the
- * canonical merge, exactly as with in-process worker threads.
+ * (i - start) % jobs == c, a static partition the parent can account
+ * for alone when a shard dies.
  *
  * Wire protocol (child → parent, one pipe per shard): length-prefixed
  * frames — a 4-byte little-endian payload length, then the payload,
@@ -20,22 +21,27 @@
  *   'R' <digest>   iteration finished; serialized ShardDigest
  *   'D'            shard done (graceful exit follows)
  *
- * Parent → child is a one-byte control pipe: any byte means "stop
- * after the current iteration" (the early-stop broadcast and the
- * SIGINT/SIGTERM drain); EOF means the parent is gone.
+ * Parent → child is a control pipe. 'C' and a 4-byte little-endian
+ * iteration is credit: the shard may start iterations up to it, and
+ * waits (unarmed) before the 'B' of any later one, so the window's
+ * W = kWindowPerWorker × jobs bounds shards as it bounds threads. Any
+ * other byte means "stop after the current iteration" (the early-stop
+ * broadcast and the SIGINT/SIGTERM drain); EOF means the parent is
+ * gone, and a shard dies with its supervisor.
  *
  * Failure handling:
  *  - abnormal child exit → classifyExitStatus() names the cause
  *    ("sigsegv", "sigabrt", "oom", "exit_N", …); the in-flight
- *    iteration (known from its 'B' frame) becomes a crash event;
+ *    iteration (known from its 'B' frame) becomes a crash row;
  *  - -iter-timeout=N → a shard past its per-iteration deadline is
- *    SIGKILLed and the iteration becomes a timeout event;
+ *    SIGKILLed and the iteration becomes a timeout row;
  *  - -mem-limit=M → the child runs under RLIMIT_AS with a
  *    std::set_new_handler that exits 77, classified "oom";
  *  - each loss respawns the shard (fresh fork continuing at the next
- *    owed iteration) with exponential backoff, up to -max-respawns;
- *    an exhausted budget degrades gracefully — the shard's remaining
- *    iterations are recorded as "respawn_budget" crashes and the
+ *    owed iteration, with the current credit) with exponential
+ *    backoff, up to -max-respawns; an exhausted budget degrades
+ *    gracefully — the shard's remaining iterations are recorded as
+ *    "respawn_budget" crashes as the window reaches them, and the
  *    campaign completes with what it has.
  */
 
@@ -60,7 +66,7 @@ std::string classifyExitStatus(int wait_status);
 
 /**
  * One iteration's result as shipped over the shard pipe: the ledger
- * row (metrics pre-rendered to JSON) plus the iteration's private
+ * row (metrics rendered to JSON) plus the iteration's private
  * coverage bitmap, which the parent folds into the canonical merged
  * state (the shard cannot know cumulative canonical coverage).
  */
@@ -74,51 +80,36 @@ std::string digestToString(const ShardDigest &d);
 bool digestFromString(const std::string &text, ShardDigest *out);
 
 /**
- * One supervision event, delivered to the campaign merge in arrival
- * order (the merge buffers and folds the contiguous iteration prefix).
+ * The campaign's side of the shard transport (campaign.cc): the
+ * per-iteration body a shard runs, and the window its records enter.
  */
-struct ShardEvent
+struct ShardHooks
 {
-    enum class Kind
-    {
-        Result,  ///< Iteration completed; digest is the shard's.
-        Crash,   ///< Shard died on this iteration; digest synthesized.
-        Timeout, ///< Watchdog fired on this iteration; synthesized.
-    };
-    Kind kind = Kind::Result;
-    int iteration = 0;
-    int shard = 0;
-    /** Crash/timeout classification ("" for results). */
-    std::string cause;
-    ShardDigest digest;
-};
-
-/** Aggregate supervision tallies. */
-struct SuperviseOutcome
-{
-    int respawns = 0;
-    int crashes = 0;
-    int timeouts = 0;
-    /** Iterations resolved (results + synthesized losses). */
-    int executed = 0;
-    /** The drain was triggered by SIGINT/SIGTERM. */
-    bool interrupted = false;
+    /**
+     * In the shard, post-fork: run iteration @p iter as shard @p shard's
+     * @p wseq-th iteration and fill @p out. False means the shard stops
+     * instead (an interrupt, or the fold cannot need the iteration).
+     */
+    std::function<bool(int shard, int iter, int wseq, ShardDigest *out)>
+        run;
+    /** In the parent: fold one digest, a result or a synthesized loss. */
+    std::function<void(ShardDigest &&)> fold;
+    /** The highest iteration a shard may start: cursor + W. */
+    std::function<int()> credit;
+    /** The fold reached its canonical stop: drain the shards. */
+    std::function<bool()> stopped;
 };
 
 /**
- * Fork cfg.jobs shards covering iterations startIteration..
- * engine.maxIterations and pump their pipes until every shard is done
- * (or stopped). @p onEvent receives every event; @p stopRequested is
- * polled between events — returning true broadcasts the stop byte and
- * drains. Must be called from a thread that may fork (the campaign
- * thread; no live Scheduler).
+ * Fork cfg.jobs shards (at most one per iteration left) covering
+ * iterations startIteration..engine.maxIterations, grant them credit
+ * as the fold advances, and pump their pipes until every shard is done
+ * or drained. Must be called from a thread that may fork (the campaign
+ * thread; no live Scheduler) and that outlives the shards.
+ * @return the respawns performed.
  */
-SuperviseOutcome
-superviseCampaign(const CampaignConfig &cfg,
-                  const std::function<void()> &program,
-                  int startIteration,
-                  const std::function<void(ShardEvent &&)> &onEvent,
-                  const std::function<bool()> &stopRequested);
+int superviseCampaign(const CampaignConfig &cfg, int startIteration,
+                      const ShardHooks &hooks);
 
 } // namespace goat::campaign
 

@@ -29,6 +29,21 @@
 
 namespace goat::goker {
 
+namespace {
+
+/**
+ * Load through @p p with no null check in front of it: the fault
+ * injector's crash must be a real SIGSEGV, not UBSan's null-load abort
+ * (which exits 1 under -fno-sanitize-recover).
+ */
+__attribute__((noinline, no_sanitize("null"))) int
+loadUnchecked(volatile int *p)
+{
+    return *p;
+}
+
+} // namespace
+
 GOKER_HOSTILE_KERNEL(hostile_segfault,
                      "null deref when the reader wins a racy handoff")
 {
@@ -54,9 +69,7 @@ GOKER_HOSTILE_KERNEL(hostile_segfault,
             // Publisher was delayed mid-handoff: p is still null. A
             // real crash, on purpose — the supervisor classifies it
             // "sigsegv".
-            volatile int *vp = st->p;
-            int v = *vp;
-            (void)v;
+            loadUnchecked(st->p);
         }
         st->done.send(Unit{});
     });

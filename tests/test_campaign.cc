@@ -9,6 +9,9 @@
 
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
+#include <unistd.h>
+
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -429,22 +432,71 @@ windowPeak(const CampaignConfig &cfg, const std::function<void()> &fn,
 
 // The reorder window bounds the records a campaign holds at once by
 // configuration, not by campaign length: at most kWindowPerWorker per
-// worker, and exactly one at a time at jobs=1 (the inline fold).
+// worker, and exactly one at a time at jobs=1 in-process (the inline
+// fold). Supervised shards are held to the same window by credit: one
+// shard stalls on its first call while the others run ahead, and they
+// may run at most a window past the stalled iteration. Every run
+// writes the same canonical ledger.
 TEST(CampaignWindow, PeakIsBoundedByTheWindow)
 {
     const goker::KernelInfo &k = kernel("cockroach_1055");
-    for (int jobs : {1, 4, 8}) {
-        CampaignConfig cfg = baseConfig(k, jobs);
+    const std::string lock = testing::TempDir() + "window_stall.lock";
+    const std::string ledger = testing::TempDir() + "window_peak.jsonl";
+    struct Run
+    {
+        int jobs;
+        bool isolate;
+    };
+    std::vector<std::string> reference;
+    for (Run run : {Run{1, false}, Run{4, false}, Run{8, false},
+                    Run{1, true}, Run{4, true}}) {
+        SCOPED_TRACE(testing::Message() << "jobs=" << run.jobs
+                                        << " isolate=" << run.isolate);
+        std::remove(ledger.c_str());
+        std::remove(lock.c_str());
+        CampaignConfig cfg = baseConfig(k, run.jobs);
         cfg.engine.collectCoverage = false;
         cfg.engine.stopOnBug = false;
         cfg.engine.maxIterations = 5000;
+        cfg.engine.ledgerPath = ledger;
+        cfg.isolate = run.isolate;
+        // In each shard process, the first call of the first process
+        // to create the lock file sleeps.
+        bool first_call = true;
+        std::function<void()> stalling = [&k, &lock, &first_call]() {
+            if (first_call) {
+                first_call = false;
+                int fd = ::open(lock.c_str(), O_CREAT | O_EXCL | O_WRONLY,
+                                0600);
+                if (fd >= 0) {
+                    ::close(fd);
+                    std::this_thread::sleep_for(
+                        std::chrono::milliseconds(500));
+                }
+            }
+            k.fn();
+        };
         CampaignResult r;
-        int64_t peak = windowPeak(cfg, k.fn, &r);
-        SCOPED_TRACE(jobs);
+        int64_t peak = windowPeak(cfg, run.isolate ? stalling : k.fn, &r);
         EXPECT_EQ(r.merged.iterations.size(), 5000u);
         EXPECT_GE(peak, 1);
-        EXPECT_LE(peak, jobs == 1 ? 1 : campaign::kWindowPerWorker * jobs);
+        EXPECT_LE(peak, run.jobs == 1 && !run.isolate
+                            ? 1
+                            : campaign::kWindowPerWorker * run.jobs);
+        // The stall held the cursor while three shards ran ahead.
+        if (run.isolate && run.jobs > 1) {
+            EXPECT_GT(peak, campaign::kWindowPerWorker);
+        }
+        std::vector<std::string> rows = canonicalLedger(ledger);
+        EXPECT_EQ(rows.size(), 5000u);
+        if (reference.empty()) {
+            reference = rows;
+        } else {
+            EXPECT_EQ(rows, reference);
+        }
     }
+    std::remove(ledger.c_str());
+    std::remove(lock.c_str());
 }
 
 // Stop-on-bug while the window is full: the first program call stalls
@@ -492,52 +544,57 @@ TEST(CampaignWindow, StopOnBugWithFullWindowFinishes)
 }
 
 // Checkpoints are written by the fold while the workers run, without
-// joining them: a jobs=4 campaign checkpointing every 7 iterations
-// writes the same canonical ledger as an uninterrupted jobs=1 run, and
-// its last checkpoint covers the whole campaign.
+// joining them: a jobs=4 campaign checkpointing every 7 iterations,
+// with worker threads or with supervised shards, writes the same
+// canonical ledger as an uninterrupted jobs=1 run, and its last
+// checkpoint covers the whole campaign.
 TEST(CampaignWindow, InProcessCheckpointsKeepTheLedgerCanonical)
 {
-    const goker::KernelInfo &k = kernel("cockroach_7504");
-    std::string l1 = testing::TempDir() + "window_ck_j1.jsonl";
-    std::string l4 = testing::TempDir() + "window_ck_j4.jsonl";
-    std::string ck = testing::TempDir() + "window_ck_j4.ck";
-    std::remove(l1.c_str());
-    std::remove(l4.c_str());
-    std::remove(ck.c_str());
+    for (bool isolate : {false, true}) {
+        SCOPED_TRACE(testing::Message() << "isolate=" << isolate);
+        const goker::KernelInfo &k = kernel("cockroach_7504");
+        std::string l1 = testing::TempDir() + "window_ck_j1.jsonl";
+        std::string l4 = testing::TempDir() + "window_ck_j4.jsonl";
+        std::string ck = testing::TempDir() + "window_ck_j4.ck";
+        std::remove(l1.c_str());
+        std::remove(l4.c_str());
+        std::remove(ck.c_str());
 
-    CampaignConfig c1 = baseConfig(k, 1);
-    c1.engine.delayBound = 1;
-    c1.engine.stopOnBug = false;
-    c1.engine.maxIterations = 300;
-    c1.engine.ledgerPath = l1;
-    CampaignConfig c4 = c1;
-    c4.jobs = 4;
-    c4.engine.ledgerPath = l4;
-    c4.checkpointPath = ck;
-    c4.checkpointEvery = 7;
+        CampaignConfig c1 = baseConfig(k, 1);
+        c1.engine.delayBound = 1;
+        c1.engine.stopOnBug = false;
+        c1.engine.maxIterations = 300;
+        c1.engine.ledgerPath = l1;
+        CampaignConfig c4 = c1;
+        c4.jobs = 4;
+        c4.engine.ledgerPath = l4;
+        c4.checkpointPath = ck;
+        c4.checkpointEvery = 7;
+        c4.isolate = isolate;
 
-    CampaignResult r1 = runCampaign(c1, k.fn);
-    CampaignResult r4 = runCampaign(c4, k.fn);
-    EXPECT_TRUE(r4.checkpointOk);
-    std::vector<std::string> a = canonicalLedger(l1);
-    EXPECT_EQ(a.size(), 300u);
-    EXPECT_EQ(a, canonicalLedger(l4));
-    EXPECT_EQ(r1.coverage.bitmapStr(), r4.coverage.bitmapStr());
+        CampaignResult r1 = runCampaign(c1, k.fn);
+        CampaignResult r4 = runCampaign(c4, k.fn);
+        EXPECT_TRUE(r4.checkpointOk);
+        std::vector<std::string> a = canonicalLedger(l1);
+        EXPECT_EQ(a.size(), 300u);
+        EXPECT_EQ(a, canonicalLedger(l4));
+        EXPECT_EQ(r1.coverage.bitmapStr(), r4.coverage.bitmapStr());
 
-    campaign::CheckpointData d;
-    std::string err;
-    ASSERT_TRUE(campaign::readCheckpointFile(ck, &d, &err)) << err;
-    EXPECT_EQ(d.cursor, 300);
-    EXPECT_EQ(d.executed, 300);
-    EXPECT_EQ(d.rows.size(), 300u);
-    std::remove(l1.c_str());
-    std::remove(l4.c_str());
-    std::remove(ck.c_str());
+        campaign::CheckpointData d;
+        std::string err;
+        ASSERT_TRUE(campaign::readCheckpointFile(ck, &d, &err)) << err;
+        EXPECT_EQ(d.cursor, 300);
+        EXPECT_EQ(d.executed, 300);
+        EXPECT_EQ(d.rows.size(), 300u);
+        std::remove(l1.c_str());
+        std::remove(l4.c_str());
+        std::remove(ck.c_str());
+    }
 }
 
 // A coverage-guided jobs=1 campaign steers by the same cumulative
 // coverage in a supervised shard as in a worker thread, so both
-// drivers write the same canonical ledger.
+// transports write the same canonical ledger.
 TEST(CampaignWindow, GuidedShardFoldsItsCoverageLikeAWorker)
 {
     const goker::KernelInfo &k = kernel("moby_28462");

@@ -11,11 +11,13 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <sys/wait.h>
 #include <vector>
 
 #include "../tools/cli_options.hh"
+#include "goker/registry.hh"
 
 using goat::cli::Options;
 using goat::cli::parseOptions;
@@ -47,6 +49,14 @@ std::string
 tmpPath(const std::string &name)
 {
     return testing::TempDir() + "goat_cli_" + name;
+}
+
+std::string
+slurp(const std::string &path)
+{
+    std::ifstream in(path);
+    return std::string(std::istreambuf_iterator<char>(in),
+                       std::istreambuf_iterator<char>());
 }
 
 } // namespace
@@ -283,6 +293,36 @@ TEST(CliExit, ObservabilityArtifactsWrittenOnSuccess)
     std::remove(sat.c_str());
     std::remove((sat + ".html").c_str());
     std::remove(status.c_str());
+}
+
+// A -kernel=all sweep writes one -predict-out document holding every
+// kernel's findings in registry order, and says so once.
+TEST(CliExit, PredictOutSweepHoldsEveryKernel)
+{
+    std::string doc_path = tmpPath("sweep_predictions.json");
+    std::string out_path = tmpPath("sweep_predictions.out");
+    std::remove(doc_path.c_str());
+    std::string cmd = std::string(GOAT_CLI_BIN) +
+                      " -kernel=all -d=0 -freq=2 -predict-out=" +
+                      doc_path + " >" + out_path + " 2>/dev/null";
+    ASSERT_EQ(std::system(cmd.c_str()), 0);
+
+    std::string doc = slurp(doc_path);
+    ASSERT_EQ(doc.rfind("{\"kernels\":[", 0), 0u) << doc.substr(0, 80);
+    size_t at = 0;
+    for (const auto *k : goat::goker::KernelRegistry::instance().all()) {
+        at = doc.find("{\"kernel\":\"" + k->name + "\",", at);
+        ASSERT_NE(at, std::string::npos) << k->name;
+    }
+    EXPECT_EQ(doc.substr(doc.size() - 3), "]}\n");
+
+    std::string out = slurp(out_path);
+    size_t first = out.find("prediction findings written to");
+    EXPECT_NE(first, std::string::npos);
+    EXPECT_EQ(out.find("prediction findings written to", first + 1),
+              std::string::npos);
+    std::remove(doc_path.c_str());
+    std::remove(out_path.c_str());
 }
 
 // An unrecognized GOAT_LOG_LEVEL value is ignored with exactly one

@@ -15,6 +15,10 @@ Scenarios:
     run's ledger is canonical-identical to the reference, at -jobs=1
     and at -jobs=4 (and a -jobs=4 checkpoint resumes at -jobs=1 —
     the fingerprint deliberately excludes the worker count);
+  * cross-transport resume: a SIGKILLed -isolate -jobs=3 campaign
+    resumes in-process at -jobs=2, and a SIGKILLed in-process -jobs=2
+    campaign resumes under -isolate -jobs=3 (the fingerprint excludes
+    -isolate too); no shard process outlives its killed supervisor;
   * SIGTERM mid-campaign: graceful flush — the process exits 143
     (128+SIGTERM), the checkpoint and the ledger agree on the merged
     prefix, the prefix is canonical with the reference, and the
@@ -66,9 +70,11 @@ def canonical_rows(path):
 
 
 def cmd(goat, ledger, jobs=1, checkpoint=None, resume=None,
-        iters=ITERS):
+        iters=ITERS, isolate=False):
     c = [goat, f"-kernel={KERNEL}", f"-d={DELAY}", f"-freq={iters}",
          "-keep-going", f"-jobs={jobs}", f"-ledger={ledger}"]
+    if isolate:
+        c += ["-isolate"]
     if checkpoint is not None:
         c += [f"-checkpoint={checkpoint}", f"-checkpoint-every={EVERY}"]
     if resume is not None:
@@ -84,11 +90,11 @@ def run(goat, ledger, **kw):
              f"{proc.stderr}")
 
 
-def kill_mid_run(goat, ledger, checkpoint, sig, jobs=1):
+def kill_mid_run(goat, ledger, checkpoint, sig, jobs=1, isolate=False):
     """Start a checkpointed campaign, deliver @sig at a random moment
     after the first checkpoint lands, and return the exit status."""
     proc = subprocess.Popen(cmd(goat, ledger, jobs=jobs,
-                                checkpoint=checkpoint),
+                                checkpoint=checkpoint, isolate=isolate),
                             stdout=subprocess.DEVNULL,
                             stderr=subprocess.DEVNULL)
     deadline = time.monotonic() + 60
@@ -108,6 +114,38 @@ def kill_mid_run(goat, ledger, checkpoint, sig, jobs=1):
         proc.send_signal(sig)
     proc.wait(timeout=60)
     return proc.returncode
+
+
+def live_processes_with(arg):
+    """Pids of live (non-zombie) processes with @arg in their argv."""
+    pids = []
+    for entry in Path("/proc").iterdir():
+        if not entry.name.isdigit():
+            continue
+        try:
+            argv = (entry / "cmdline").read_bytes().split(b"\0")
+            state = (entry / "stat").read_text().rsplit(")", 1)[1].split()[0]
+        except OSError:
+            continue
+        if arg.encode() in argv and state != "Z":
+            pids.append(int(entry.name))
+    return pids
+
+
+def assert_no_orphans(checkpoint):
+    """Every shard of a SIGKILLed supervisor must be gone within 5s."""
+    arg = f"-checkpoint={checkpoint}"
+    deadline = time.monotonic() + 5
+    while True:
+        left = live_processes_with(arg)
+        if not left:
+            return
+        if time.monotonic() > deadline:
+            for pid in left:
+                os.kill(pid, signal.SIGKILL)
+            fail(f"shard process(es) {left} outlived their SIGKILLed "
+                 f"supervisor")
+        time.sleep(0.05)
 
 
 def read_cursor(checkpoint):
@@ -164,6 +202,35 @@ def main():
                  "the uninterrupted run")
         print("check_resume: OK — -jobs=4 checkpoint resumes at "
               "-jobs=1 canonical-identical")
+
+        # Cross-transport resume: the fingerprint excludes -isolate, so
+        # a checkpoint from supervised shards resumes on worker threads
+        # and the other way round.
+        for name, killed, resumed in (
+                ("isolate_to_threads", dict(jobs=3, isolate=True),
+                 dict(jobs=2)),
+                ("threads_to_isolate", dict(jobs=2),
+                 dict(jobs=3, isolate=True))):
+            ck = tmp / f"{name}.ck"
+            part = tmp / f"{name}_part.jsonl"
+            rc = kill_mid_run(goat, part, ck, signal.SIGKILL, **killed)
+            if rc != -signal.SIGKILL:
+                fail(f"{name}: SIGKILL run exited {rc}")
+            if killed.get("isolate"):
+                assert_no_orphans(ck)
+            cursor = read_cursor(ck)
+            if not 0 < cursor < ITERS:
+                fail(f"{name}: kill landed outside the campaign "
+                     f"(cursor {cursor}) — timing too coarse")
+            res = tmp / f"{name}_res.jsonl"
+            run(goat, res, resume=ck, **resumed)
+            if canonical_rows(res) != ref:
+                fail(f"{name}: killed+resumed ledger differs from the "
+                     f"uninterrupted run (cursor was {cursor})")
+            print(f"check_resume: OK — {name}: SIGKILL at iteration "
+                  f"{cursor}, resume canonical-identical"
+                  + (", no shard outlived the supervisor"
+                     if killed.get("isolate") else ""))
 
         # SIGTERM: graceful flush. Exit 143, ledger and checkpoint
         # agree on the merged prefix, prefix canonical, resumable.

@@ -315,9 +315,27 @@ printCulprits(const trace::Recipe &r)
                     y.kind.c_str(), y.file.c_str(), y.line);
 }
 
+/** Write the -predict-out document @p doc to @p path and say so. */
+bool
+writePredictOut(const std::string &path, const std::string &doc)
+{
+    if (!atomicWriteFile(path, doc + '\n')) {
+        std::fprintf(stderr, "goat: cannot write %s\n", path.c_str());
+        return false;
+    }
+    std::printf("prediction findings written to %s\n", path.c_str());
+    return true;
+}
+
+/**
+ * Run one kernel's campaign and report it. In a sweep, its
+ * -predict-out document goes to @p sweep_predictions instead of the
+ * file, which the sweep writes once at the end.
+ */
 int
 runKernel(const goker::KernelInfo &kernel, const Options &opt,
-          bool &artifact_fail, int &special_exit)
+          bool &artifact_fail, int &special_exit,
+          std::vector<std::string> *sweep_predictions = nullptr)
 {
     campaign::CampaignConfig ccfg;
     GoatConfig &cfg = ccfg.engine;
@@ -460,15 +478,10 @@ runKernel(const goker::KernelInfo &kernel, const Options &opt,
             std::printf("%s", po.report.str().c_str());
         if (!opt.predict_out.empty()) {
             std::string doc = po.report.jsonDocStr(kernel.name);
-            doc += '\n';
-            if (atomicWriteFile(opt.predict_out, doc)) {
-                std::printf("prediction findings written to %s\n",
-                            opt.predict_out.c_str());
-            } else {
-                std::fprintf(stderr, "goat: cannot write %s\n",
-                             opt.predict_out.c_str());
+            if (sweep_predictions)
+                sweep_predictions->push_back(std::move(doc));
+            else if (!writePredictOut(opt.predict_out, doc))
                 artifact_fail = true;
-            }
         }
     }
     // A supervised crash/timeout bug has no trace: the child died (or
@@ -651,18 +664,10 @@ runReplay(const goker::KernelInfo &kernel, const Options &opt)
                     po.report.predictions.size(), po.confirmedCount);
         if (po.report.any())
             std::printf("%s", po.report.str().c_str());
-        if (!opt.predict_out.empty()) {
-            std::string doc = po.report.jsonDocStr(kernel.name);
-            doc += '\n';
-            if (atomicWriteFile(opt.predict_out, doc)) {
-                std::printf("prediction findings written to %s\n",
-                            opt.predict_out.c_str());
-            } else {
-                std::fprintf(stderr, "goat: cannot write %s\n",
-                             opt.predict_out.c_str());
-                rc = 1;
-            }
-        }
+        if (!opt.predict_out.empty() &&
+            !writePredictOut(opt.predict_out,
+                             po.report.jsonDocStr(kernel.name)))
+            rc = 1;
     }
 
     if (opt.minimize) {
@@ -787,13 +792,24 @@ main(int argc, char **argv)
     int special_exit = 0;
     if (opt.kernel == "all") {
         int bugs = 0;
+        std::vector<std::string> predictions;
         for (const auto *k : registry.all()) {
-            bugs += runKernel(*k, opt, artifact_fail, special_exit);
+            bugs += runKernel(*k, opt, artifact_fail, special_exit,
+                              &predictions);
             if (special_exit)
                 return special_exit;
         }
         std::printf("\n%d of %zu kernels exposed their bug\n", bugs,
                     registry.all().size());
+        // One document for the sweep: every kernel's findings, in
+        // registry order.
+        if (!opt.predict_out.empty()) {
+            std::string doc = "{\"kernels\":[";
+            for (size_t i = 0; i < predictions.size(); ++i)
+                doc += (i ? "," : "") + predictions[i];
+            if (!writePredictOut(opt.predict_out, doc + "]}"))
+                artifact_fail = true;
+        }
         if (opt.metrics)
             std::printf("%s\n",
                         obs::Registry::global().snapshot().jsonStr().c_str());
